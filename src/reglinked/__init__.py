@@ -31,8 +31,8 @@ from .linked import (
     nandi_spec_path, series_from_system, state_for_class,
 )
 from .murraymiller import (
-    QDifferenceEquation, eliminate, normalize_equation, reorder,
-    reorder_first, triangularize,
+    QDifferenceEquation, derive_equation, eliminate, normalize_equation,
+    reorder, reorder_first, triangularize,
 )
 from .qseries import (
     XSeries, closed_form_i, double_sum, euler_check, evaluate_x1,

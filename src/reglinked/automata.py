@@ -414,49 +414,42 @@ class Dfa:
 
 
 def _renumber_bfs(alphabet, trans_map, start, accept_pred):
-    """Canonical numbering: breadth-first from the start state, exploring
-    symbols in declared alphabet order."""
+    """DFA over the states reachable from start, in the canonical numbering:
+    breadth-first from the start state, exploring symbols in declared
+    alphabet order.  trans_map(v) lists v's successors in that order and is
+    called once per state."""
     order = [start]
     number = {start: 0}
+    rows = []
     i = 0
     while i < len(order):
         v = order[i]
         i += 1
+        row = []
         for t in trans_map(v):
             if t not in number:
                 number[t] = len(order)
                 order.append(t)
-    rows = []
-    for v in order:
-        rows.append(tuple(number[t] for t in trans_map(v)))
-    accept = frozenset(number[v] for v in order if accept_pred(v))
+            row.append(number[t])
+        rows.append(tuple(row))
+    accept = frozenset(k for k, v in enumerate(order) if accept_pred(v))
     return Dfa(alphabet, rows, 0, accept)
 
 
 def subset_construction(nfa: EpsNfa) -> Dfa:
     """Equivalent DFA; only the subsets reachable from the start closure
     are materialized."""
-    start = nfa.eps_closure({nfa.start})
-    number = {start: 0}
-    order = [start]
-    rows = []
-    i = 0
-    while i < len(order):
-        cur = order[i]
-        i += 1
-        row = []
+    def successors(cur):
+        out = []
         for a in nfa.alphabet:
             nxt = set()
             for s in cur:
                 nxt |= nfa.moves(s, a)
-            nxt = nfa.eps_closure(nxt)
-            if nxt not in number:
-                number[nxt] = len(order)
-                order.append(nxt)
-            row.append(number[nxt])
-        rows.append(tuple(row))
-    accept = frozenset(k for k, sub in enumerate(order) if sub & nfa.accept)
-    return Dfa(nfa.alphabet, rows, 0, accept)
+            out.append(nfa.eps_closure(nxt))
+        return out
+
+    return _renumber_bfs(nfa.alphabet, successors, nfa.eps_closure({nfa.start}),
+                         lambda sub: bool(sub & nfa.accept))
 
 
 def dfa_from_regex(r: Regex, alphabet) -> Dfa:
@@ -467,25 +460,11 @@ def product(m1: Dfa, m2: Dfa, op) -> Dfa:
     """Product automaton accepting op(w in L(m1), w in L(m2))."""
     if m1.alphabet != m2.alphabet:
         raise AlphabetError("product of automata over different alphabets")
-    start = (m1.start, m2.start)
-    number = {start: 0}
-    order = [start]
-    rows = []
-    i = 0
-    while i < len(order):
-        u, v = order[i]
-        i += 1
-        row = []
-        for k in range(len(m1.alphabet)):
-            t = (m1.transitions[u][k], m2.transitions[v][k])
-            if t not in number:
-                number[t] = len(order)
-                order.append(t)
-            row.append(number[t])
-        rows.append(tuple(row))
-    accept = frozenset(k for k, (u, v) in enumerate(order)
-                       if op(u in m1.accept, v in m2.accept))
-    return Dfa(m1.alphabet, rows, 0, accept)
+    return _renumber_bfs(
+        m1.alphabet,
+        lambda uv: zip(m1.transitions[uv[0]], m2.transitions[uv[1]]),
+        (m1.start, m2.start),
+        lambda uv: op(uv[0] in m1.accept, uv[1] in m2.accept))
 
 
 AND = lambda a, b: a and b
@@ -533,13 +512,12 @@ def minimize(m: Dfa) -> Dfa:
     equivalence classes.  The result carries the canonical breadth-first
     numbering, so isomorphic minimal machines compare equal.
     """
-    reach = m.reachable()
-    pos = {v: i for i, v in enumerate(reach)}
-    n = len(reach)
-    trans = [[pos[m.transitions[v][k]] for k in range(len(m.alphabet))]
-             for v in reach]
-    accept = [v in m.accept for v in reach]
-    start = pos[m.start]
+    # the reachable part, numbered breadth-first with the start as 0
+    reach = _renumber_bfs(m.alphabet, m.transitions.__getitem__, m.start,
+                          m.accept.__contains__)
+    n = reach.num_states
+    trans = reach.transitions
+    accept = [v in reach.accept for v in range(n)]
 
     marked = [[False] * n for _ in range(n)]
     for i in range(n):
@@ -571,14 +549,10 @@ def minimize(m: Dfa) -> Dfa:
                 rep[i] = min(rep[i], rep[j])
     classes = sorted(set(rep))
     cls_id = {c: k for k, c in enumerate(classes)}
-    qtrans = {}
-    for c in classes:
-        qtrans[cls_id[c]] = tuple(cls_id[rep[trans[c][k]]]
-                                  for k in range(len(m.alphabet)))
-    qstart = cls_id[rep[start]]
+    qtrans = [tuple(cls_id[rep[t]] for t in trans[c]) for c in classes]
     qaccept = {cls_id[c] for c in classes if accept[c]}
-    return _renumber_bfs(m.alphabet, lambda v: qtrans[v], qstart,
-                         lambda v: v in qaccept)
+    return _renumber_bfs(m.alphabet, qtrans.__getitem__, cls_id[rep[0]],
+                         qaccept.__contains__)
 
 
 def equivalent(m1: Dfa, m2: Dfa) -> bool:

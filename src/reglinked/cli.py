@@ -20,10 +20,17 @@ def _load_spec(path):
 
 
 def _state_arg(value):
-    return int(value[1:]) if value.startswith("q") else int(value)
+    try:
+        return int(value[1:]) if value.startswith("q") else int(value)
+    except ValueError:
+        raise ValueError(f"bad state label {value!r} (expected qN or N)") from None
 
 
-def _print_dfa_text(dfa, out):
+def _print_dfa(title, dfa, fmt, out):
+    if fmt == "structured":
+        out.write(automata.dfa_to_text(dfa))
+        return 0
+    print(title, file=out)
     print(f"states: {dfa.num_states}   start: q{dfa.start}   "
           f"accept: {' '.join(f'q{v}' for v in sorted(dfa.accept))}", file=out)
     head = "v\\j |" + "".join(f"{s:>4}" for s in dfa.alphabet)
@@ -31,57 +38,40 @@ def _print_dfa_text(dfa, out):
     print("-" * len(head), file=out)
     for v, row in enumerate(dfa.transitions):
         print(f"q{v:<3}|" + "".join(f"{t:>4}" for t in row), file=out)
+    return 0
 
 
 def cmd_dfa(args, out):
     spec = _load_spec(args.spec)
     dfa = linked.build_forbidden_dfa(spec)
     if args.action in ("build", "minimize", "table"):
-        if args.format == "structured":
-            out.write(automata.dfa_to_text(dfa))
-        else:
-            print("minimal forbidden-language DFA", file=out)
-            _print_dfa_text(dfa, out)
-        return 0
+        return _print_dfa("minimal forbidden-language DFA", dfa, args.format, out)
     # prefixes <state>
-    istar = automata.Star(automata.union_all(
-        [automata.Symbol(s) for s in spec.alphabet]))
     x_pattern = automata.dfa_from_regex(
-        automata.Concat(istar, spec.forbidden_patterns), spec.alphabet)
+        automata.Concat(linked.sigma_star(spec), spec.forbidden_patterns),
+        spec.alphabet)
     try:
         v = _state_arg(args.state)
         result = automata.min_forbidden_prefixes(dfa, v, x_pattern)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if args.format == "structured":
-        out.write(automata.dfa_to_text(result))
-    else:
-        print(f"minimal forbidden prefixes from state q{v}", file=out)
-        _print_dfa_text(result, out)
-    return 0
+    return _print_dfa(f"minimal forbidden prefixes from state q{v}", result,
+                      args.format, out)
 
 
 def cmd_derive(args, out):
     spec = _load_spec(args.spec)
     if args.target is None:
         # default: the spec's own prefix language, i.e. the start state
-        extra = spec.forbidden_prefixes
+        target = spec.forbidden_prefixes
     else:
         try:
-            extra = automata.parse_regex(args.target, spec.alphabet)
+            target = automata.parse_regex(args.target, spec.alphabet)
         except ValueError as e:
             print(f"error: bad target regex: {e}", file=sys.stderr)
             return 2
-    state = linked.state_for_class(spec, extra)
-    if state is None:
-        print("error: no state matches the target prefix language", file=sys.stderr)
-        return 2
-    system = linked.derive_system(spec)
-    system = murraymiller.reorder_first(system, state)
-    l_prime, p = murraymiller.triangularize(system)
-    eq = murraymiller.normalize_equation(
-        murraymiller.eliminate(l_prime, p, system.step))
+    state, system, l_prime, p, eq = murraymiller.derive_equation(spec, target)
     if args.format == "structured":
         out.write(f"target-state: {state}\n")
         out.write(f"labels: {' '.join(str(v) for v in system.labels)}\n")
@@ -112,43 +102,36 @@ def _check(label, ok, out, details=""):
     return ok
 
 
-def _verify_class(spec, a, order, x_order, out, counts=None):
-    ok = True
-    if counts is None:
-        counts = partitions.count_class_series(a, order)
-    brute = qseries.QSeries(counts, order)
+def _check_agree(label, want, got, out):
+    n = want.first_mismatch(got)
+    return _check(label, n is None, out,
+                  "" if n is None else f"first mismatch at q^{n}")
+
+
+def _verify_class(spec, a, order, out, counts):
     product = qseries.nandi_product(a, order)
-    n = brute.first_mismatch(product)
-    ok &= _check(f"class {a}: enumeration vs product through q^{order}",
-                 n is None, out, "" if n is None else f"first mismatch at q^{n}")
-    dsum = qseries.double_sum(a, order)
-    n = product.first_mismatch(dsum)
-    ok &= _check(f"class {a}: product vs double sum", n is None, out,
-                 "" if n is None else f"first mismatch at q^{n}")
+    ok = _check_agree(f"class {a}: enumeration vs product through q^{order}",
+                      qseries.QSeries(counts, order), product, out)
+    ok &= _check_agree(f"class {a}: product vs double sum",
+                       product, qseries.double_sum(a, order), out)
+    label = f"class {a}: product vs derived equation at x=1"
     try:
         eq = qseries.class_equation(spec, a)
         series = qseries.evaluate_x1(
-            qseries.solve_equation(eq, x_order, order), order)
+            qseries.solve_equation(eq, order, order), order)
     except (RuntimeError, ValueError, ZeroDivisionError) as e:
-        ok &= _check(f"class {a}: product vs derived equation at x=1",
-                     False, out, str(e))
-        return ok
-    n = product.first_mismatch(series)
-    ok &= _check(f"class {a}: product vs derived equation at x=1", n is None,
-                 out, "" if n is None else f"first mismatch at q^{n}")
-    return ok
+        return ok & _check(label, False, out, str(e))
+    return ok & _check_agree(label, product, series, out)
 
 
 def cmd_verify(args, out):
     spec = _load_spec(args.spec)
     order = args.order
-    x_order = args.x_order if args.x_order is not None else order
     classes = (1, 2, 3) if args.which == "all" else (int(args.which),)
-    all_counts = (partitions.count_all_class_series(order)
-                  if len(classes) > 1 else {})
+    all_counts = partitions.count_all_class_series(order)
     ok = True
     for a in classes:
-        ok &= _verify_class(spec, a, order, x_order, out, all_counts.get(a))
+        ok &= _verify_class(spec, a, order, out, all_counts[a])
     if args.which == "all":
         for bst in ((3, 0, 0), (1, 0, 1), (5, 1, 1)):
             ok &= _check(f"single-sum/product identity {bst}",
@@ -187,7 +170,6 @@ def build_parser():
     p_ver.add_argument("which", choices=("1", "2", "3", "all"))
     p_ver.add_argument("--spec", default=None)
     p_ver.add_argument("--order", type=int, default=40)
-    p_ver.add_argument("--x-order", type=int, default=None, dest="x_order")
     p_ver.add_argument("--format", choices=("text", "structured"), default="text")
     return parser
 

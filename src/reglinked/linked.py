@@ -197,8 +197,19 @@ def decode(word, spec: LinkedSpec) -> Partition:
 # the forbidden-language machine and the derived system
 # ---------------------------------------------------------------------------
 
-def _sigma_star(spec):
+def sigma_star(spec):
+    """I*, every word over the spec's alphabet."""
     return Star(union_all([Symbol(s) for s in spec.alphabet]))
+
+
+def _forbidden_language_dfa(spec, prefixes: Regex) -> Dfa:
+    """Minimal DFA for  I* X I*  union  L(prefixes) I*."""
+    istar = sigma_star(spec)
+    r = automata.Union(
+        concat_all([istar, spec.forbidden_patterns, istar]),
+        automata.Concat(prefixes, istar),
+    )
+    return dfa_from_regex(r, spec.alphabet)
 
 
 @lru_cache(maxsize=64)
@@ -208,12 +219,7 @@ def build_forbidden_dfa(spec: LinkedSpec) -> Dfa:
     Its start state is never accepting because neither language contains
     the empty word.
     """
-    istar = _sigma_star(spec)
-    r = automata.Union(
-        concat_all([istar, spec.forbidden_patterns, istar]),
-        automata.Concat(spec.forbidden_prefixes, istar),
-    )
-    return dfa_from_regex(r, spec.alphabet)
+    return _forbidden_language_dfa(spec, spec.forbidden_prefixes)
 
 
 @dataclass(frozen=True)
@@ -250,14 +256,7 @@ def derive_system(spec: LinkedSpec) -> QDifferenceSystem:
 def state_for_class(spec: LinkedSpec, extra_prefixes: Regex):
     """The non-accepting state whose restarted language is
     I* X I*  union  L(extra_prefixes) I*, or None if no state matches."""
-    istar = _sigma_star(spec)
-    target = dfa_from_regex(
-        automata.Union(
-            concat_all([istar, spec.forbidden_patterns, istar]),
-            automata.Concat(extra_prefixes, istar),
-        ),
-        spec.alphabet,
-    )
+    target = _forbidden_language_dfa(spec, extra_prefixes)
     dfa = build_forbidden_dfa(spec)
     for v in range(dfa.num_states):
         if v in dfa.accept:

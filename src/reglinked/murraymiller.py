@@ -7,13 +7,14 @@ deterministic smallest-index swap rule), then back-substitute the rows to
 eliminate every component but the first, and finally bring the equation to
 a normal form (lowest shift at index zero, denominators cleared, common
 polynomial factor removed, leading coefficient one when it is constant).
+`derive_equation` runs the whole chain from a block specification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linked import QDifferenceSystem
+from .linked import QDifferenceSystem, SpecError, derive_system, state_for_class
 from .qalgebra import (
     BiPoly, RationalFunction, RfMatrix, bipoly_div_exact, bipoly_gcd,
     bipoly_lcm, mat_inverse_T, mat_mul, parse_rational,
@@ -191,6 +192,29 @@ def normalize_equation(eq: QDifferenceEquation) -> QDifferenceEquation:
     else:
         coeffs = tuple(RationalFunction(p) for p in nums)
     return QDifferenceEquation(eq.step, coeffs)
+
+
+def target_state(spec, target_regex) -> int:
+    """The state of the spec's forbidden DFA whose class has the target
+    prefix language; raises SpecError when no state matches."""
+    state = state_for_class(spec, target_regex)
+    if state is None:
+        raise SpecError("no state matches the target prefix language")
+    return state
+
+
+def derive_equation(spec, target_regex):
+    """The whole derivation for one class: look up the target state, then
+    reorder -> triangularize -> eliminate -> normalize.
+
+    target_regex is the parsed Regex of the class's forbidden prefixes.
+    Returns (state, reordered system, l', P, equation).
+    """
+    state = target_state(spec, target_regex)
+    system = reorder_first(derive_system(spec), state)
+    l_prime, p = triangularize(system)
+    eq = normalize_equation(eliminate(l_prime, p, system.step))
+    return state, system, l_prime, p, eq
 
 
 # ---------------------------------------------------------------------------

@@ -232,46 +232,30 @@ def satisfies_nandi_mult(f: MultiplicityVector) -> bool:
 
 
 def _class_extra_ok(parts, a) -> bool:
+    """The class-a condition on top of the base difference conditions;
+    parts is a weakly decreasing tuple or list."""
     if a == 1:
         return not parts or parts[-1] != 1
+    if a not in (2, 3):
+        raise ValueError("class index must be 1, 2 or 3")
+    m1, m2, m3 = parts.count(1), parts.count(2), parts.count(3)
     if a == 2:
-        m1 = m2 = m3 = 0
-        for p in reversed(parts):
-            if p == 1:
-                m1 += 1
-            elif p == 2:
-                m2 += 1
-            elif p == 3:
-                m3 += 1
-            else:
-                break
         return m1 <= 1 and m2 <= 1 and m3 <= 1
-    if a == 3:
-        m1 = m2 = m3 = 0
-        for p in reversed(parts):
-            if p == 1:
-                m1 += 1
-            elif p == 2:
-                m2 += 1
-            elif p == 3:
-                m3 += 1
-            else:
-                break
-        if m1 or m3 or m2 > 1:
-            return False
-        # forbid a contiguous run (2k+3, 2k, 2k-2, ..., 4, 2); its first
-        # entry is a part, so k is bounded by the largest part
-        if not parts:
-            return True
-        n = len(parts)
-        for k in range(1, (parts[0] - 3) // 2 + 1):
-            pat = (2 * k + 3,) + tuple(2 * (k - t) for t in range(k))
-            w = len(pat)
-            for s in range(n - w + 1):
-                if parts[s:s + w] == pat:
-                    return False
+    if m1 or m3 or m2 > 1:
+        return False
+    # forbid a contiguous run (2k+3, 2k, 2k-2, ..., 4, 2); its first
+    # entry is a part, so k is bounded by the largest part
+    if not parts:
         return True
-    raise ValueError("class index must be 1, 2 or 3")
+    parts = tuple(parts)
+    n = len(parts)
+    for k in range(1, (parts[0] - 3) // 2 + 1):
+        pat = (2 * k + 3,) + tuple(2 * (k - t) for t in range(k))
+        w = len(pat)
+        for s in range(n - w + 1):
+            if parts[s:s + w] == pat:
+                return False
+    return True
 
 
 def in_class(p: Partition, a: int) -> bool:
@@ -337,9 +321,8 @@ def _sweep_counts(order):
         for raw in _raw_partitions_of(n):
             if not _nandi_parts_ok(raw):
                 continue
-            parts = tuple(raw)
             for a in (1, 2, 3):
-                if _class_extra_ok(parts, a):
+                if _class_extra_ok(raw, a):
                     row[a] += 1
         out.append(row)
     return out

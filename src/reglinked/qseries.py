@@ -153,6 +153,22 @@ def _equation_profile(eq: QDifferenceEquation, order):
     return [rf_x_coefficient_series(c, order) for c in eq.coeffs]
 
 
+def _recurrence_sum(prof, step, fs, M, j_min, order):
+    """sum_i sum_{j_min <= j <= M} [x^j]p_i * q^(step*i*(M-j)) * f_(M-j):
+    the x^M coefficient of sum_i p_i(x, q) F(x q^(step*i)), from the
+    terms j >= j_min."""
+    acc = QSeries.zero(order)
+    for i, cols in enumerate(prof):
+        for j, series in cols.items():
+            if j < j_min or j > M:
+                continue
+            f = fs[M - j]
+            if f.is_zero():
+                continue
+            acc = acc + series.shift(step * i * (M - j)) * f
+    return acc
+
+
 def solve_equation(eq: QDifferenceEquation, x_order: int, q_order: int) -> XSeries:
     """Unique solution with f_0 = 1 (the value of the generating function at
     x = 0), computed coefficient by coefficient.
@@ -171,12 +187,7 @@ def solve_equation(eq: QDifferenceEquation, x_order: int, q_order: int) -> XSeri
         if lead.coeffs[0] == 0:
             raise ZeroDivisionError(
                 f"non-invertible leading recurrence coefficient at M = {M}")
-        rhs = QSeries.zero(q_order)
-        for i, cols in enumerate(prof):
-            for j, series in cols.items():
-                if j == 0 or j > M:
-                    continue
-                rhs = rhs + series.shift(m * i * (M - j)) * fs[M - j]
+        rhs = _recurrence_sum(prof, m, fs, M, 1, q_order)
         fs.append(-(rhs * lead.invert()))
     return XSeries(fs)
 
@@ -201,24 +212,8 @@ def equation_residual(eq: QDifferenceEquation, F: XSeries) -> XSeries:
     F solves the equation through the carried orders."""
     t = F.q_order
     prof = _equation_profile(eq, t)
-    m = eq.step
-    out = []
-    for M in range(F.x_order + 1):
-        acc = QSeries.zero(t)
-        for i, cols in enumerate(prof):
-            for j, series in cols.items():
-                if j > M:
-                    continue
-                f = F.coeffs[M - j]
-                if f.is_zero():
-                    continue
-                acc = acc + series.shift(m * i * (M - j)) * f
-        out.append(acc)
-    return XSeries(out)
-
-
-def solves_equation(eq: QDifferenceEquation, F: XSeries) -> bool:
-    return equation_residual(eq, F).is_zero()
+    return XSeries([_recurrence_sum(prof, eq.step, F.coeffs, M, 0, t)
+                    for M in range(F.x_order + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -237,28 +232,21 @@ PRODUCT_RESIDUES = {
 }
 
 
+def _class_target(spec, a):
+    return parse_regex(CLASS_PREFIX_REGEX[a], spec.alphabet)
+
+
 @lru_cache(maxsize=None)
 def nandi_class_state(a: int) -> int:
     spec = _linked.nandi_spec()
-    extra = parse_regex(CLASS_PREFIX_REGEX[a], spec.alphabet)
-    state = _linked.state_for_class(spec, extra)
-    if state is None:
-        raise RuntimeError(f"no state matches the class-{a} prefixes")
-    return state
+    return _mm.target_state(spec, _class_target(spec, a))
 
 
 def class_equation(spec, a: int) -> QDifferenceEquation:
     """Single q-difference equation for the class-a generating function of
     the given block specification, derived end to end: forbidden DFA ->
     coupled system -> reorder -> triangularize -> eliminate -> normalize."""
-    extra = parse_regex(CLASS_PREFIX_REGEX[a], spec.alphabet)
-    state = _linked.state_for_class(spec, extra)
-    if state is None:
-        raise RuntimeError(f"no state matches the class-{a} prefixes")
-    system = _linked.derive_system(spec)
-    system = _mm.reorder_first(system, state)
-    l_prime, p = _mm.triangularize(system)
-    return _mm.normalize_equation(_mm.eliminate(l_prime, p, system.step))
+    return _mm.derive_equation(spec, _class_target(spec, a))[-1]
 
 
 @lru_cache(maxsize=None)
@@ -297,12 +285,12 @@ def transform_chain(a: int, x_order: int, q_order: int) -> TransformChain:
     poch = x_poch_even(x_order, q_order)
     G = F / poch
     g_eq = g_equation(eq)
-    if not _x_form_residual_zero(g_eq, eq.step, G):
+    if not equation_residual(QDifferenceEquation(eq.step, tuple(g_eq)), G).is_zero():
         raise ArithmeticError("transformed G-series does not satisfy its recurrence")
     H = XSeries([G.coeffs[M] / poch_finite(1, 1 + s, 1, 2 * M, q_order)
                  for M in range(G.x_order + 1)])
     h_eq = h_equation(g_eq, s, eq.step)
-    if not _x_form_residual_zero(h_eq, eq.step, H):
+    if not equation_residual(QDifferenceEquation(eq.step, tuple(h_eq)), H).is_zero():
         raise ArithmeticError("transformed H-series does not satisfy its recurrence")
     I = H * poch
     return TransformChain(F, G, H, I)
@@ -361,7 +349,7 @@ def h_equation(r_coeffs, s: int, step: int):
         for i, r in enumerate(r_coeffs):
             if not r.is_polynomial():
                 raise ValueError("G-equation coefficients must be polynomial")
-            for j, c in _q_coeff_items(r.num, d):
+            for j, c in enumerate(r.num.coefficient_in_x(d)):
                 key = (step * i, j - step * i * d)
                 acc[key] = acc.get(key, 0) + c
         # multiply by prod_{t=0}^{step*(D-d)-1} (1 + q^(1+s-step*D+t) z^step)
@@ -397,32 +385,6 @@ def h_equation(r_coeffs, s: int, step: int):
     return coeffs
 
 
-def _q_coeff_items(p: BiPoly, d: int):
-    for (i, j), c in p.terms.items():
-        if i == d:
-            yield j, c
-
-
-def _x_form_residual_zero(coeffs, step, S: XSeries) -> bool:
-    """Residual of sum_i coeffs[i](x,q) * S(x q^(step*i)) on the carried orders."""
-    t = S.q_order
-    m = step
-    for M in range(S.x_order + 1):
-        acc = QSeries.zero(t)
-        for i, c in enumerate(coeffs):
-            cols = rf_x_coefficient_series(c, t)
-            for j, series in cols.items():
-                if j > M:
-                    continue
-                f = S.coeffs[M - j]
-                if f.is_zero():
-                    continue
-                acc = acc + series.shift(m * i * (M - j)) * f
-        if not acc.is_zero():
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # closed-form g, stabilization, and the x = 1 value
 # ---------------------------------------------------------------------------
@@ -430,18 +392,13 @@ def _x_form_residual_zero(coeffs, step, S: XSeries) -> bool:
 def g_closed_form(a: int, L: int, order: int) -> QSeries:
     """g_L from the closed double-quotient form, truncated at q^order."""
     s, t = CLASS_ST[a]
-    top = poch_finite(1, 1 + s, 1, 2 * L, order)
     acc = QSeries.zero(order)
     for M in range(L + 1):
-        e = M * (M + 2 * t)
-        if e > order:
+        if M * (M + 2 * t) > order:
             break
-        den = (poch_finite(-1, 2, 2, L - M, order)
-               * poch_finite(1, 1 + s, 1, 2 * M, order)
-               * poch_finite(-1, 2, 2, M, order))
-        term = QSeries.monomial((-1) ** M, e, order) * top * den.invert()
-        acc = acc + term
-    return acc
+        inv = poch_finite(-1, 2, 2, L - M, order).invert()
+        acc = acc + closed_form_i(a, M, order) * inv
+    return acc * poch_finite(1, 1 + s, 1, 2 * L, order)
 
 
 def g_limit_check(a: int, L_max: int, order: int) -> QSeries:
@@ -458,14 +415,7 @@ def g_limit_check(a: int, L_max: int, order: int) -> QSeries:
         raise StabilizationError(
             f"g_L not stabilized through q^{t_stab} at L = {L_max}")
     value = (poch_inf(-1, 2, 2, order) * g_last).truncate(t_stab)
-    single = QSeries.zero(t_stab)
-    for M in range(0, t_stab + 1):
-        e = M * (M + 2 * t)
-        if e > t_stab:
-            break
-        den = poch_finite(1, 1, 1, 2 * M + s, t_stab) * poch_finite(-1, 2, 2, M, t_stab)
-        single = single + QSeries.monomial((-1) ** M, e, t_stab) * den.invert()
-    rhs = poch_inf(1, 1, 1, t_stab) * single
+    rhs = poch_inf(1, 1, 1, t_stab) * _slater_sum(s, t, t_stab)
     if value != rhs:
         raise StabilizationError("limit value disagrees with the single-sum form")
     return value
@@ -530,17 +480,22 @@ def euler_check(which: str, x_value, order: int) -> bool:
     return lhs == rhs
 
 
+def _slater_sum(s: int, t: int, order: int) -> QSeries:
+    """sum_n (-1)^n q^(n(n+2t)) / ((q;q)_(2n+s) (q^2;q^2)_n), truncated."""
+    acc = QSeries.zero(order)
+    n = 0
+    while n * (n + 2 * t) <= order:
+        den = poch_finite(1, 1, 1, 2 * n + s, order) * poch_finite(-1, 2, 2, n, order)
+        acc = acc + QSeries.monomial((-1) ** n, n * (n + 2 * t), order) * den.invert()
+        n += 1
+    return acc
+
+
 def slater_check(bst, order: int) -> bool:
     """Single sum against the mod-28/mod-14 product, for (b, s, t) in
     {(3,0,0), (1,0,1), (5,1,1)}."""
     b, s, t = bst
-    lhs = QSeries.zero(order)
-    for n in range(order + 2):
-        e = n * (n + 2 * t)
-        if e > order:
-            break
-        den = poch_finite(1, 1, 1, 2 * n + s, order) * poch_finite(-1, 2, 2, n, order)
-        lhs = lhs + QSeries.monomial((-1) ** n, e, order) * den.invert()
+    lhs = _slater_sum(s, t, order)
     rhs = (poch_inf(-1, 1, 2, order)
            * poch_inf(-1, 2, 2, order).invert()
            * poch_inf(-1, 2 * b, 14, order)

@@ -44,6 +44,13 @@ def test_dfa_prefixes_accepting_state_fails(capsys):
     assert "error" in err
 
 
+def test_dfa_prefixes_bad_state_label(capsys):
+    code, out, err = run(capsys, "dfa", "prefixes", "zz")
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad state label 'zz' (expected qN or N)\n"
+
+
 def test_derive_matches_pipeline(capsys):
     code, out, _ = run(capsys, "derive", "--target", "3U4",
                        "--format", "structured")
@@ -124,6 +131,13 @@ def test_verify_detects_corruption(tmp_path, capsys):
     assert code == 1
     assert "FAIL" in out
     assert "first mismatch at q^1" in out
+
+
+def test_verify_x_order_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "1", "--order", "30", "--x-order", "2"])
+    assert exc.value.code == 2
+    assert "--x-order" in capsys.readouterr().err
 
 
 def test_verify_determinism(capsys):

@@ -136,6 +136,16 @@ def test_class_examples():
     assert not in_class(Partition((9, 7, 4, 2)), 3)  # contains (7, 4, 2)
 
 
+def test_class_extra_conditions_agree_on_lists_and_tuples():
+    from reglinked.partitions import _class_extra_ok
+    for n in range(13):
+        for p in partitions_of(n):
+            for a in (1, 2, 3):
+                want = _class_extra_ok(p.parts, a)
+                assert _class_extra_ok(list(p.parts), a) == want, (p, a)
+    assert not _class_extra_ok([9, 6, 4, 2], 3)
+
+
 def test_count_class_series_examples():
     assert count_class_series(1, 6) == [1, 0, 1, 1, 2, 1, 3]
     assert count_class_series(1, 0) == [1]
