@@ -562,14 +562,6 @@ def equivalent(m1: Dfa, m2: Dfa) -> bool:
     return minimize(m1) == minimize(m2)
 
 
-def equivalent_via_product(m1: Dfa, m2: Dfa) -> bool:
-    """Independent route: emptiness of the symmetric difference."""
-    if m1.alphabet != m2.alphabet:
-        raise AlphabetError("automata over different alphabets")
-    diff = product(m1, m2, XOR)
-    return not any(v in diff.accept for v in diff.reachable())
-
-
 def isomorphism(m1: Dfa, m2: Dfa):
     """State bijection witnessing isomorphism of two reachable DFAs, as a
     dict m1-state -> m2-state, or None if they are not isomorphic."""

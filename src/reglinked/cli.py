@@ -96,52 +96,62 @@ def cmd_derive(args, out):
     return 0
 
 
-def _check(label, ok, out, details=""):
+def _check(out, fmt, label, ok, mismatch=None, details=""):
+    """Print one check line.  In structured form a failed check whose
+    routes give only a verdict shows first-mismatch: unknown."""
+    verdict = "PASS" if ok else "FAIL"
+    if fmt == "structured":
+        if mismatch is None:
+            mismatch = "none" if ok else "unknown"
+        print(f"check: {label} | {verdict} | first-mismatch: {mismatch}", file=out)
+        return ok
     tail = f"  ({details})" if details else ""
-    print(f"{'PASS' if ok else 'FAIL'}  {label}{tail}", file=out)
+    print(f"{verdict}  {label}{tail}", file=out)
     return ok
 
 
-def _check_agree(label, want, got, out):
+def _check_agree(out, fmt, label, want, got):
     n = want.first_mismatch(got)
-    return _check(label, n is None, out,
+    return _check(out, fmt, label, n is None, n,
                   "" if n is None else f"first mismatch at q^{n}")
 
 
-def _verify_class(spec, a, order, out, counts):
+def _verify_class(out, fmt, spec, a, order, counts):
     product = qseries.nandi_product(a, order)
-    ok = _check_agree(f"class {a}: enumeration vs product through q^{order}",
-                      qseries.QSeries(counts, order), product, out)
-    ok &= _check_agree(f"class {a}: product vs double sum",
-                       product, qseries.double_sum(a, order), out)
+    ok = _check_agree(out, fmt,
+                      f"class {a}: enumeration vs product through q^{order}",
+                      qseries.QSeries(counts, order), product)
+    ok &= _check_agree(out, fmt, f"class {a}: product vs double sum",
+                       product, qseries.double_sum(a, order))
     label = f"class {a}: product vs derived equation at x=1"
     try:
         eq = qseries.class_equation(spec, a)
         series = qseries.evaluate_x1(
             qseries.solve_equation(eq, order, order), order)
     except (RuntimeError, ValueError, ZeroDivisionError) as e:
-        return ok & _check(label, False, out, str(e))
-    return ok & _check_agree(label, product, series, out)
+        return ok & _check(out, fmt, label, False, details=str(e))
+    return ok & _check_agree(out, fmt, label, product, series)
 
 
 def cmd_verify(args, out):
     spec = _load_spec(args.spec)
-    order = args.order
+    order, fmt = args.order, args.format
     classes = (1, 2, 3) if args.which == "all" else (int(args.which),)
     all_counts = partitions.count_all_class_series(order)
     ok = True
     for a in classes:
-        ok &= _verify_class(spec, a, order, out, all_counts[a])
+        ok &= _verify_class(out, fmt, spec, a, order, all_counts[a])
     if args.which == "all":
         for bst in ((3, 0, 0), (1, 0, 1), (5, 1, 1)):
-            ok &= _check(f"single-sum/product identity {bst}",
-                         qseries.slater_check(bst, order), out)
+            ok &= _check(out, fmt, f"single-sum/product identity {bst}",
+                         qseries.slater_check(bst, order))
         for which, x in (("A", (1, 1)), ("A", (1, 2)), ("B", (1, 1)), ("B", (1, 2))):
-            ok &= _check(f"series-product identity ({which}) at x=q^{x[1]}",
-                         qseries.euler_check(which, x, order), out)
+            ok &= _check(out, fmt,
+                         f"series-product identity ({which}) at x=q^{x[1]}",
+                         qseries.euler_check(which, x, order))
         for a in classes:
-            ok &= _check(f"class {a}: single-sum route",
-                         qseries.remark_single_sum_check(a, order), out)
+            ok &= _check(out, fmt, f"class {a}: single-sum route",
+                         qseries.remark_single_sum_check(a, order))
     print("all checks passed" if ok else "verification FAILED", file=out)
     return 0 if ok else 1
 

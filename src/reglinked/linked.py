@@ -12,6 +12,7 @@ symbol sequence (padded with the trivial symbol), avoids both.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -329,56 +330,67 @@ def _empty_word_survives(succ):
 def series_from_system(sys: QDifferenceSystem, state, order: int, x_value=1):
     """Coefficients of the generating function attached to one state.
 
-    Fixed-point iteration of the system on bivariate series truncated at
-    q^order: the x-degree-0 layer is seeded from the trivial-symbol tail
-    (the empty partition belongs to the class iff that tail survives), and
-    each iteration then determines one more q-order because the
-    substitution x -> x q^m raises the q-order of every x-carrying
-    monomial.  With x_value=1 the result is a QSeries; with
-    x_value="symbolic" the list of x-coefficients, each a QSeries.
+    Row v of the system reads F_v(x, q) = sum_u M[v][u] F_u(x q^m, q), so a
+    term c x^dx q^dq of M[v][u] adds c times the coefficient of x^i q^n in
+    F_u to the coefficient of x^(i+dx) q^(n+m*i+dq) in F_v.  That key comes
+    strictly after (n, i) in (q-degree, x-degree) order, except for the
+    trivial symbol (dx = dq = 0) acting on the constant term, which is
+    seeded from the trivial-symbol tail instead: the empty partition
+    belongs to the class iff that tail survives.  One pass over the keys
+    in that order therefore finishes every coefficient before it is read.
+    A system in which any other key feeds its own (q, x)-degree has no
+    automaton behind it and raises ValueError.  With x_value=1 the result
+    is a QSeries; with x_value="symbolic" the list of x-coefficients, each
+    a QSeries.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     if x_value not in (1, "symbolic"):
         raise ValueError("x_value must be 1 or 'symbolic'")
     mono = _system_monomials(sys)
-    succ = _trivial_successors(mono)
-    survive = _empty_word_survives(succ)
+    survive = _empty_word_survives(_trivial_successors(mono))
     m = sys.step
     n = len(sys.labels)
-    cur = [({(0, 0): 1} if survive[v] else {}) for v in range(n)]
-    for _ in range(order + 1):
-        new = [{} for _ in range(n)]
-        for v in range(n):
-            acc = new[v]
-            for u in range(n):
-                terms = mono[v][u]
-                if not terms:
+    readers = [[] for _ in range(n)]  # readers[u]: the terms that read F_u
+    for v, row in enumerate(mono):
+        for u, terms in enumerate(row):
+            readers[u].extend((v, c, dx, dq) for c, dx, dq in terms)
+    # (q-degree, x-degree) -> that coefficient of F_v for every state v
+    coeffs = {(0, 0): list(survive)}
+    keys = [(0, 0)]
+    while keys:
+        key = heapq.heappop(keys)
+        nq, i = key
+        for u, val in enumerate(coeffs[key]):
+            if not val:
+                continue
+            for v, c, dx, dq in readers[u]:
+                target = (nq + m * i + dq, i + dx)
+                if target[0] > order:
                     continue
-                src = cur[u]
-                for c, dx, dq in terms:
-                    for (i, nq), val in src.items():
-                        n2 = nq + m * i + dq
-                        if n2 > order:
-                            continue
-                        key = (i + dx, n2)
-                        acc[key] = acc.get(key, 0) + c * val
-        cur = [{k: v for k, v in d.items() if v} for d in new]
-    d = cur[sys.row_of(state)]
+                if target <= key:
+                    if target == (0, 0):
+                        continue
+                    raise ValueError(
+                        f"the coefficient of x^{i} q^{nq} feeds its own degree "
+                        "at zero weight, which no automaton-derived system does")
+                row = coeffs.get(target)
+                if row is None:
+                    row = coeffs[target] = [0] * n
+                    heapq.heappush(keys, target)
+                row[v] += c * val
+    r = sys.row_of(state)
     if x_value == 1:
         out = [0] * (order + 1)
-        for (_, nq), val in d.items():
-            out[nq] += val
+        for (nq, _), row in coeffs.items():
+            out[nq] += row[r]
         return QSeries(out, order)
-    top = max((i for i, _ in d), default=0)
-    coeffs = []
-    for i in range(top + 1):
-        ql = [0] * (order + 1)
-        for (a, nq), val in d.items():
-            if a == i:
-                ql[nq] = val
-        coeffs.append(QSeries(ql, order))
-    return coeffs
+    top = max((i for (_, i), row in coeffs.items() if row[r]), default=0)
+    layers = [[0] * (order + 1) for _ in range(top + 1)]
+    for (nq, i), row in coeffs.items():
+        if i <= top:
+            layers[i][nq] = row[r]
+    return [QSeries(ql, order) for ql in layers]
 
 
 def member(p: Partition, spec: LinkedSpec, state=None) -> bool:

@@ -417,8 +417,10 @@ def bipoly_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
     """gcd in Z[x, q], sign-normalized so the leading coefficient is positive.
 
     Computed as a univariate gcd in x over Z[q] with content/primitive-part
-    handling (primitive pseudo-remainder sequence); degrees in this library
-    are tiny, so simplicity wins over asymptotics.
+    handling (primitive pseudo-remainder sequence).  Fast enough for the
+    shipped spec; on larger systems its intermediate integers grow without
+    bound and it dominates `triangularize` (some 9-state specs take over a
+    minute).
     """
     if a.is_zero() and b.is_zero():
         return BiPoly()
@@ -741,9 +743,12 @@ def mat_inverse_T(t: RfMatrix) -> RfMatrix:
 class QSeries:
     """Power series in q truncated at an explicit order T.
 
-    Coefficients are exact (int or Fraction).  Arithmetic never reads beyond
-    the truncation order; binary operations carry the minimum of the operand
-    orders.  The order is per value, never implicit global state.
+    Coefficients are exact (int or Fraction).  They stay int through sums,
+    products and the inverse of a series whose constant term is +1 or -1,
+    which covers every Pochhammer product in this library.  Arithmetic
+    never reads beyond the truncation order; binary operations carry the
+    minimum of the operand orders.  The order is per value, never implicit
+    global state.
     """
 
     __slots__ = ("order", "coeffs")
@@ -850,17 +855,25 @@ class QSeries:
         return QSeries(out, self.order)
 
     def invert(self):
-        """Multiplicative inverse; requires an invertible constant term."""
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        A constant term of +1 or -1 is its own inverse, so the recurrence
+        stays in the coefficients' own ring: int coefficients give an int
+        inverse.  Any other constant term is inverted as a Fraction.  The
+        recurrence reads only the nonzero coefficients of the divisor.
+        """
         c0 = self.coeffs[0]
         if c0 == 0:
             raise ZeroDivisionError("cannot invert a series with zero constant term")
-        inv0 = Fraction(1, 1) / c0
+        inv0 = c0 if c0 in (1, -1) else Fraction(1, 1) / c0
+        terms = [(k, c) for k, c in enumerate(self.coeffs) if k and c]
         out = [inv0] + [0] * self.order
         for n in range(1, self.order + 1):
             s = 0
-            for k in range(1, n + 1):
-                if self.coeffs[k]:
-                    s += self.coeffs[k] * out[n - k]
+            for k, c in terms:
+                if k > n:
+                    break
+                s += c * out[n - k]
             out[n] = -inv0 * s
         return QSeries([_simplify_coeff(c) for c in out], self.order)
 
@@ -959,18 +972,6 @@ def pochhammer_inverse(residues, modulus, order):
     for a in residues:
         prod = prod * poch_inf(-1, a, modulus, order)
     return prod.invert()
-
-
-def rf_q_expand(rf: RationalFunction, order: int) -> QSeries:
-    """Expand an x-free rational function as a truncated q-series.
-
-    The denominator must have a nonzero constant term.
-    """
-    if rf.num.degree_x() or rf.den.degree_x():
-        raise ValueError("rational function involves x; cannot expand in q alone")
-    num = QSeries.from_q_coeff_list(rf.num.coefficient_in_x(0), order)
-    den = QSeries.from_q_coeff_list(rf.den.coefficient_in_x(0), order)
-    return num * den.invert()
 
 
 def rf_x_coefficient_series(rf: RationalFunction, order: int) -> dict:

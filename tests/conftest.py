@@ -2,7 +2,8 @@
 
 import pytest
 
-from reglinked.qalgebra import BiPoly, Q as q, RationalFunction, RfMatrix, X as x
+from reglinked.qalgebra import (BiPoly, Q as q, QSeries, RationalFunction,
+                                RfMatrix, X as x)
 
 ONE = BiPoly.const(1)
 
@@ -158,6 +159,99 @@ def all_words(alphabet, max_len):
     import itertools
     for n in range(max_len + 1):
         yield from itertools.product(alphabet, repeat=n)
+
+
+def random_spec(rng, m=None):
+    """A random block spec with 2-4 symbols and 1-3 forbidden words; m is
+    drawn from {1, 2} unless given."""
+    from reglinked.linked import parse_spec_text
+
+    if m is None:
+        m = rng.choice([1, 2])
+    pool = [[], [1], [2]] if m == 1 else [[], [1], [0, 1], [1, 1], [2]]
+    k = rng.randint(2, min(4, len(pool)))
+    chosen = [[]] + rng.sample([b for b in pool if b], k - 1)
+    lines = [f"m: {m}",
+             f"alphabet: [{', '.join(str(i) for i in range(k))}]", "pi:"]
+    for sym, block in zip(range(k), chosen):
+        lines.append(f"  {sym}: [{', '.join(str(v) for v in block)}]")
+    words = ["".join(str(rng.randrange(k)) for _ in range(rng.randint(1, 3)))
+             for _ in range(rng.randint(1, 3))]
+    lines.append('forbidden_patterns: "' + "U".join(words) + '"')
+    return parse_spec_text("\n".join(lines))
+
+
+# ---------------------------------------------------------------------------
+# independent routes kept as test-only references
+# ---------------------------------------------------------------------------
+
+def rf_q_expand(rf, order):
+    """Expand an x-free rational function as a truncated q-series; the
+    denominator needs a nonzero constant term."""
+    if rf.num.degree_x() or rf.den.degree_x():
+        raise ValueError("rational function involves x; cannot expand in q alone")
+    num = QSeries.from_q_coeff_list(rf.num.coefficient_in_x(0), order)
+    den = QSeries.from_q_coeff_list(rf.den.coefficient_in_x(0), order)
+    return num * den.invert()
+
+
+def equivalent_via_product(m1, m2):
+    """Language equality as emptiness of the symmetric difference."""
+    from reglinked import automata as A
+
+    if m1.alphabet != m2.alphabet:
+        raise A.AlphabetError("automata over different alphabets")
+    diff = A.product(m1, m2, A.XOR)
+    return not any(v in diff.accept for v in diff.reachable())
+
+
+def fixed_point_series(system, state, order, x_value=1):
+    """The per-state series of a q-difference system by fixed-point
+    iteration: order + 1 sweeps of every state over bivariate series
+    truncated at q^order, each sweep fixing one more q-order.  The
+    x-degree-0 layer is seeded with 1 for the states whose trivial
+    (weight-1) walk never dies.  Same return shape as
+    linked.series_from_system, which solves the system in one pass."""
+    terms = [[[(c, i, j) for (i, j), c in e.num.terms.items()] for e in row]
+             for row in system.matrix.entries]
+    n = len(terms)
+
+    def trivial_successor(v):
+        return next((u for u in range(n)
+                     if any(i == j == 0 for _, i, j in terms[v][u])), None)
+
+    def survives(v):
+        for _ in range(n):
+            v = trivial_successor(v)
+            if v is None:
+                return False
+        return True
+
+    m = system.step
+    cur = [({(0, 0): 1} if survives(v) else {}) for v in range(n)]
+    for _ in range(order + 1):
+        new = [{} for _ in range(n)]
+        for v in range(n):
+            acc = new[v]
+            for u in range(n):
+                for c, dx, dq in terms[v][u]:
+                    for (i, nq), val in cur[u].items():
+                        n2 = nq + m * i + dq
+                        if n2 <= order:
+                            key = (i + dx, n2)
+                            acc[key] = acc.get(key, 0) + c * val
+        cur = [{k: val for k, val in d.items() if val} for d in new]
+    d = cur[system.row_of(state)]
+    if x_value == 1:
+        out = [0] * (order + 1)
+        for (_, nq), val in d.items():
+            out[nq] += val
+        return QSeries(out, order)
+    top = max((i for i, _ in d), default=0)
+    layers = [[0] * (order + 1) for _ in range(top + 1)]
+    for (i, nq), val in d.items():
+        layers[i][nq] = val
+    return [QSeries(ql, order) for ql in layers]
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ import pytest
 from conftest import (CLASS_PREFIXES, CLASS_STATE, GOLDEN_DFA_ACCEPT,
                       GOLDEN_DFA_TABLE, GOLDEN_EQUATION, GOLDEN_P5,
                       GOLDEN_SYSTEM_ROWS, NO_SWAP_ORDER, all_words,
-                      regex_match_words)
+                      random_spec, regex_match_words)
 from reglinked import linked, murraymiller as mm, partitions, qseries
 from reglinked.automata import (Dfa, dfa_from_regex, equivalent, isomorphism,
                                 minimize, parse_regex, restart)
@@ -222,7 +222,7 @@ def _property_murray_miller_random():
     order = 25
     checked = 0
     while checked < 6:
-        spec = _random_spec(rng)
+        spec = random_spec(rng)
         system = linked.derive_system(spec)
         if len(system.labels) != 3:
             continue
@@ -234,21 +234,6 @@ def _property_murray_miller_random():
                                               x_value="symbolic"))
         assert qseries.equation_residual(eq, F).is_zero()
         checked += 1
-
-
-def _random_spec(rng):
-    m = rng.choice([1, 2])
-    pool = [[], [1], [2]] if m == 1 else [[], [1], [0, 1], [1, 1], [2]]
-    k = rng.randint(2, min(4, len(pool)))
-    chosen = [[]] + rng.sample([b for b in pool if b], k - 1)
-    lines = [f"m: {m}",
-             f"alphabet: [{', '.join(str(i) for i in range(k))}]", "pi:"]
-    for sym, block in zip(range(k), chosen):
-        lines.append(f"  {sym}: [{', '.join(str(v) for v in block)}]")
-    words = ["".join(str(rng.randrange(k)) for _ in range(rng.randint(1, 3)))
-             for _ in range(rng.randint(1, 3))]
-    lines.append('forbidden_patterns: "' + "U".join(words) + '"')
-    return linked.parse_spec_text("\n".join(lines))
 
 
 def _property_lpi_difference_two():

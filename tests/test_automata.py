@@ -3,12 +3,12 @@ import random
 import pytest
 
 from conftest import (GOLDEN_DFA_ACCEPT, GOLDEN_DFA_TABLE, all_words,
-                      regex_match_words)
+                      equivalent_via_product, regex_match_words)
 from reglinked import automata as A
 from reglinked.automata import (
     AND, OR, AlphabetError, Concat, Dfa, Empty, Epsilon, RegexSyntaxError,
     Star, Symbol, Union, complement, dfa_concat, dfa_from_regex, dfa_from_text,
-    dfa_to_text, empty_dfa, equivalent, equivalent_via_product, isomorphism,
+    dfa_to_text, empty_dfa, equivalent, isomorphism,
     min_forbidden_prefixes, minimize, parse_regex, product, restart,
     subset_construction, to_eps_nfa, union_all,
 )

@@ -118,7 +118,7 @@ def test_verify_trivial_order(capsys):
     assert code == 0
 
 
-def test_verify_detects_corruption(tmp_path, capsys):
+def _broken_spec(tmp_path):
     # a deliberately wrong spec: one block weight changed
     with open(nandi_spec_path(), encoding="utf-8") as fh:
         text = fh.read()
@@ -126,11 +126,27 @@ def test_verify_detects_corruption(tmp_path, capsys):
     assert bad != text
     path = tmp_path / "broken.spec"
     path.write_text(bad, encoding="utf-8")
+    return str(path)
+
+
+def test_verify_detects_corruption(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "2", "--order", "20",
-                       "--spec", str(path))
+                       "--spec", _broken_spec(tmp_path))
     assert code == 1
     assert "FAIL" in out
     assert "first mismatch at q^1" in out
+
+
+def test_verify_structured_names_the_first_mismatch(tmp_path, capsys):
+    code, out, _ = run(capsys, "verify", "2", "--order", "20", "--format",
+                       "structured", "--spec", _broken_spec(tmp_path))
+    assert code == 1
+    assert out.splitlines() == [
+        "check: class 2: enumeration vs product through q^20 | PASS | first-mismatch: none",
+        "check: class 2: product vs double sum | PASS | first-mismatch: none",
+        "check: class 2: product vs derived equation at x=1 | FAIL | first-mismatch: 1",
+        "verification FAILED",
+    ]
 
 
 def test_verify_x_order_is_a_usage_error(capsys):

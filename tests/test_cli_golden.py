@@ -18,7 +18,9 @@ TARGETS = {"default": None, "class1": "3U4", "class2": "2U4U04",
 
 CASES = {"dfa-table": ["dfa", "table"],
          "dfa-prefixes-q7": ["dfa", "prefixes", "q7"],
-         "verify-all-order12": ["verify", "all", "--order", "12"]}
+         "verify-all-order12": ["verify", "all", "--order", "12"],
+         "verify-all-order12-structured": ["verify", "all", "--order", "12",
+                                           "--format", "structured"]}
 for _name, _target in TARGETS.items():
     for _fmt in ("text", "structured"):
         CASES[f"derive-{_name}-{_fmt}"] = (

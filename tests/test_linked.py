@@ -1,12 +1,14 @@
+import random
+
 import pytest
 
 from conftest import (CLASS_PREFIXES, CLASS_STATE, GOLDEN_DFA_ACCEPT,
                       GOLDEN_DFA_TABLE, GOLDEN_SYSTEM_ROWS,
-                      brute_partition_counts)
+                      brute_partition_counts, fixed_point_series, random_spec)
 from reglinked import linked
 from reglinked.automata import Dfa, Empty, Symbol, isomorphism, parse_regex
 from reglinked.linked import (
-    BlockEncodingError, LpiData, MissingTrivialSymbolError,
+    BlockEncodingError, LpiData, MissingTrivialSymbolError, QDifferenceSystem,
     SpecError, build_forbidden_dfa, decode, derive_system, encode, load_spec,
     lpi_to_spec, member, nandi_spec, nandi_spec_path, parse_spec_text,
     series_from_system, state_for_class,
@@ -204,6 +206,39 @@ def test_series_from_system_symbolic(nandi_system):
     assert total == series_from_system(nandi_system, 7, 8)
     # x-degree k collects the k-part members of the class
     assert coeffs[1].coeffs == [0, 0, 1, 1, 1, 1, 1, 1, 1]
+
+
+def test_series_from_system_matches_fixed_point_reference():
+    diff_two = lpi_to_spec(
+        LpiData(1, (EMPTY, Partition((1,))), ((0, 1), (0, 1)), (1, 2)))
+    systems = [derive_system(nandi_spec()), derive_system(diff_two)]
+    rng = random.Random(1910)
+    while len(systems) < 26:
+        # one-state systems are common among random specs and say little
+        system = derive_system(random_spec(rng, m=2))
+        if len(system.labels) >= 3:
+            systems.append(system)
+    for system in systems:
+        for st in system.labels:
+            assert (series_from_system(system, st, 30)
+                    == fixed_point_series(system, st, 30)), (system, st)
+            assert (series_from_system(system, st, 15, x_value="symbolic")
+                    == fixed_point_series(system, st, 15, x_value="symbolic")
+                    ), (system, st)
+
+
+def test_series_from_system_rejects_zero_weight_self_feed():
+    # F(x, q) = (1 + q) F(x q, q): the trivial symbol loops, so the constant
+    # term is 1; q * 1 then lands on q^1, which the term 1 feeds back into
+    # q^1 itself: a self-feed at zero weight
+    system = QDifferenceSystem(
+        1, (0,), RfMatrix([[RationalFunction._coerce(1 + Q)]]), 0)
+    for x_value in (1, "symbolic"):
+        with pytest.raises(ValueError, match="feeds its own degree"):
+            series_from_system(system, 0, 4, x_value=x_value)
+    # the same loop on the constant term alone is the seeded exception
+    loop = QDifferenceSystem(1, (0,), RfMatrix([[RationalFunction._coerce(1)]]), 0)
+    assert series_from_system(loop, 0, 4) == QSeries.one(4)
 
 
 def test_distinct_parts_system():

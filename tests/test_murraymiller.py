@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import (CLASS_STATE, GOLDEN_EQUATION, GOLDEN_P5, NO_SWAP_ORDER)
+from conftest import (CLASS_STATE, GOLDEN_EQUATION, GOLDEN_P5, NO_SWAP_ORDER,
+                      random_spec)
 from reglinked.linked import (QDifferenceSystem, derive_system,
                               parse_spec_text, series_from_system)
 from reglinked.murraymiller import (
@@ -195,34 +196,13 @@ def test_solution_preservation_for_derived_equations(a, nandi_system):
     assert equation_residual(eq, F).is_zero()
 
 
-def _random_spec(rng):
-    m = rng.choice([1, 2])
-    # blocks: all multiplicity vectors with parts <= m and small entries
-    if m == 1:
-        pool = [[], [1], [2]]
-    else:
-        pool = [[], [1], [0, 1], [1, 1], [2]]
-    k = rng.randint(2, min(4, len(pool)))
-    chosen = [[]] + rng.sample([b for b in pool if b], k - 1)
-    alphabet = list(range(k))
-    lines = [f"m: {m}", f"alphabet: [{', '.join(str(a) for a in alphabet)}]", "pi:"]
-    for sym, block in zip(alphabet, chosen):
-        lines.append(f"  {sym}: [{', '.join(str(v) for v in block)}]")
-    words = []
-    for _ in range(rng.randint(1, 3)):
-        w = "".join(str(rng.randrange(k)) for _ in range(rng.randint(1, 3)))
-        words.append(w)
-    lines.append('forbidden_patterns: "' + "U".join(words) + '"')
-    return parse_spec_text("\n".join(lines))
-
-
 def test_solution_preservation_random_systems():
     from reglinked.qseries import XSeries
     rng = random.Random(2024)
     checked = 0
     order = 20
     while checked < 8:
-        spec = _random_spec(rng)
+        spec = random_spec(rng)
         system = derive_system(spec)
         if not 2 <= len(system.labels) <= 4:
             continue

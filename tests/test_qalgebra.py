@@ -1,12 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from conftest import rf_q_expand
 from reglinked.qalgebra import (
     BiPoly, Q as q, QSeries, RationalFunction, RfMatrix, X as x,
     ExpressionSyntaxError, bipoly_div_exact, bipoly_gcd, mat_inverse_T,
     mat_mul, parse_rational, poch_finite, poch_inf, pochhammer_inverse,
-    product_series, rf_q_expand,
+    product_series,
 )
 
 
@@ -161,6 +163,37 @@ def test_pochhammer_inverse_mod14_class1():
     got = pochhammer_inverse((2, 3, 4, 10, 11, 12), 14, 6)
     assert got.coeffs == [count(n, n) for n in range(7)]
     assert got.coeffs == [1, 0, 1, 1, 2, 1, 3]
+
+
+@pytest.mark.parametrize("c0", [1, -1])
+def test_invert_unit_constant_term_stays_int(c0):
+    s = QSeries([c0, 3, -2, 0, 5, 1, 0, -7], 12)
+    inv = s.invert()
+    assert all(type(c) is int for c in inv.coeffs)
+    assert s * inv == QSeries.one(12)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [2, 1, 0, -1, 4],
+    [-3, 0, 2, 1],
+    [Fraction(2, 3), 1, -1],
+    [1, Fraction(1, 2), 0, Fraction(-5, 7)],
+    [-1, 2, Fraction(3, 4), 0, 1],
+])
+def test_invert_non_unit_or_fraction_coefficients(coeffs):
+    s = QSeries(coeffs, 10)
+    assert s * s.invert() == QSeries.one(10)
+
+
+def test_invert_sparse_divisor():
+    # 1/(1 - q^7) = 1 + q^7 + q^14 + ...
+    got = (QSeries.one(30) - QSeries.monomial(1, 7, 30)).invert()
+    assert got.coeffs == [1 if n % 7 == 0 else 0 for n in range(31)]
+
+
+def test_invert_zero_constant_term():
+    with pytest.raises(ZeroDivisionError):
+        QSeries([0, 1, 1], 5).invert()
 
 
 def test_euler_sum_equals_inverse_product_at_q():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import GOLDEN_EQUATION
+from reglinked.linked import series_from_system
 from reglinked.murraymiller import QDifferenceEquation
 from reglinked.partitions import count_class_series
 from reglinked.qalgebra import (Q as q, QSeries, RationalFunction, X as x,
@@ -77,7 +78,6 @@ def test_solve_distinct_parts_equation():
 
 
 def test_solve_matches_system_series(nandi_system):
-    from reglinked.linked import series_from_system
     F = solve_equation(nandi_equation(1), 10, 30)
     sym = series_from_system(nandi_system, 7, 30, x_value="symbolic")
     for M in range(11):
@@ -250,6 +250,12 @@ def test_comparison_identity_on_random_polynomials():
         for M in range(deg, deg + 5):
             assert sum(a[: M + 1]) == b[M]
         assert b[-1] == sum(a)
+
+
+def test_product_equals_transfer_matrix_at_q100(nandi_system):
+    for a in (1, 2, 3):
+        assert (nandi_product(a, 100)
+                == series_from_system(nandi_system, nandi_class_state(a), 100)), a
 
 
 def test_grand_equality_small_order():
