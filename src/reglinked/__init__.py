@@ -16,9 +16,8 @@ from .partitions import (
     to_multiplicities, truncate_gt, truncate_le, weight_monomial,
 )
 from .qalgebra import (
-    BiPoly, QSeries, Q, RationalFunction, RfMatrix, X, mat_inverse_T,
-    mat_mul, parse_rational, poch_finite, poch_inf, pochhammer_inverse,
-    shift_x,
+    BiPoly, QSeries, Q, RationalFunction, RfMatrix, X, parse_rational,
+    poch_finite, poch_inf, pochhammer_inverse,
 )
 from .automata import (
     Dfa, EpsNfa, Regex, complement, dfa_from_regex, equivalent, isomorphism,

@@ -505,54 +505,30 @@ def sigma_dfa(alphabet) -> Dfa:
 
 
 def minimize(m: Dfa) -> Dfa:
-    """Minimal DFA via the table-filling algorithm.
+    """Minimal DFA via Moore's partition refinement.
 
-    Removes unreachable states, marks pairs separated by acceptance,
-    propagates markings to a fixed point, then collapses the unmarked
-    equivalence classes.  The result carries the canonical breadth-first
+    Removes unreachable states, splits the rest by acceptance, then splits
+    every class by the classes of its members' successors until the class
+    count stops growing.  The quotient carries the canonical breadth-first
     numbering, so isomorphic minimal machines compare equal.
     """
     # the reachable part, numbered breadth-first with the start as 0
     reach = _renumber_bfs(m.alphabet, m.transitions.__getitem__, m.start,
                           m.accept.__contains__)
-    n = reach.num_states
     trans = reach.transitions
-    accept = [v in reach.accept for v in range(n)]
-
-    marked = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i):
-            if accept[i] != accept[j]:
-                marked[i][j] = True
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            for j in range(i):
-                if marked[i][j]:
-                    continue
-                for k in range(len(m.alphabet)):
-                    a, b = trans[i][k], trans[j][k]
-                    if a == b:
-                        continue
-                    if a < b:
-                        a, b = b, a
-                    if marked[a][b]:
-                        marked[i][j] = True
-                        changed = True
-                        break
-
-    rep = list(range(n))
-    for i in range(n):
-        for j in range(i):
-            if not marked[i][j]:
-                rep[i] = min(rep[i], rep[j])
-    classes = sorted(set(rep))
-    cls_id = {c: k for k, c in enumerate(classes)}
-    qtrans = [tuple(cls_id[rep[t]] for t in trans[c]) for c in classes]
-    qaccept = {cls_id[c] for c in classes if accept[c]}
-    return _renumber_bfs(m.alphabet, qtrans.__getitem__, cls_id[rep[0]],
-                         qaccept.__contains__)
+    cls = [v in reach.accept for v in range(reach.num_states)]
+    count = len(set(cls))
+    while True:
+        ids = {}
+        cls = [ids.setdefault((cls[v],) + tuple(cls[t] for t in row), len(ids))
+               for v, row in enumerate(trans)]
+        if len(ids) == count:
+            break
+        count = len(ids)
+    member = {c: v for v, c in enumerate(cls)}  # any member represents c
+    return _renumber_bfs(m.alphabet,
+                         lambda c: [cls[t] for t in trans[member[c]]],
+                         cls[0], lambda c: member[c] in reach.accept)
 
 
 def equivalent(m1: Dfa, m2: Dfa) -> bool:

@@ -116,7 +116,22 @@ def _check_agree(out, fmt, label, want, got):
                   "" if n is None else f"first mismatch at q^{n}")
 
 
-def _verify_class(out, fmt, spec, a, order, counts):
+def _equation_series(spec, a, order):
+    """Class a's derived equation, solved and set to x = 1 through q^order,
+    or the error that stopped it (a failed check).  A class target the spec
+    cannot express (it does not parse, or no state has its prefix language)
+    is an input error instead."""
+    try:
+        eq = qseries.class_equation(spec, a)
+        return qseries.evaluate_x1(qseries.solve_equation(eq, order, order), order)
+    except (SpecError, automata.RegexSyntaxError, automata.AlphabetError) as e:
+        raise SpecError(f"class {a}: target "
+                        f"{qseries.CLASS_PREFIX_REGEX[a]!r}: {e}") from e
+    except (RuntimeError, ValueError, ZeroDivisionError) as e:
+        return e
+
+
+def _verify_class(out, fmt, a, order, counts, derived):
     product = qseries.nandi_product(a, order)
     ok = _check_agree(out, fmt,
                       f"class {a}: enumeration vs product through q^{order}",
@@ -124,23 +139,21 @@ def _verify_class(out, fmt, spec, a, order, counts):
     ok &= _check_agree(out, fmt, f"class {a}: product vs double sum",
                        product, qseries.double_sum(a, order))
     label = f"class {a}: product vs derived equation at x=1"
-    try:
-        eq = qseries.class_equation(spec, a)
-        series = qseries.evaluate_x1(
-            qseries.solve_equation(eq, order, order), order)
-    except (RuntimeError, ValueError, ZeroDivisionError) as e:
-        return ok & _check(out, fmt, label, False, details=str(e))
-    return ok & _check_agree(out, fmt, label, product, series)
+    if isinstance(derived, Exception):
+        return ok & _check(out, fmt, label, False, details=str(derived))
+    return ok & _check_agree(out, fmt, label, product, derived)
 
 
 def cmd_verify(args, out):
     spec = _load_spec(args.spec)
     order, fmt = args.order, args.format
     classes = (1, 2, 3) if args.which == "all" else (int(args.which),)
+    # derive first: a spec that cannot express a class stops before any check
+    derived = {a: _equation_series(spec, a, order) for a in classes}
     all_counts = partitions.count_all_class_series(order)
     ok = True
     for a in classes:
-        ok &= _verify_class(out, fmt, spec, a, order, all_counts[a])
+        ok &= _verify_class(out, fmt, a, order, all_counts[a], derived[a])
     if args.which == "all":
         for bst in ((3, 0, 0), (1, 0, 1), (5, 1, 1)):
             ok &= _check(out, fmt, f"single-sum/product identity {bst}",

@@ -117,14 +117,20 @@ def parse_spec_text(text: str) -> LinkedSpec:
         pi_raw = {str(k): v for k, v in doc["pi"].items()}
     except (KeyError, TypeError, AttributeError) as e:
         raise SpecError(f"spec file missing field: {e}") from e
+    except ValueError as e:
+        raise SpecError(f"m: {e}") from e
     pi = []
     for s in alphabet:
         if s not in pi_raw:
             raise SpecError(f"pi missing symbol {s!r}")
-        mults = [int(v) for v in (pi_raw[s] or [])]
+        try:
+            mults = [int(v) for v in (pi_raw[s] or [])]
+            block = from_multiplicities(MultiplicityVector(mults))
+        except (TypeError, ValueError) as e:
+            raise SpecError(f"pi[{s!r}]: {e}") from e
         if len(mults) > m:
             raise SpecError(f"pi[{s!r}] longer than the block length")
-        pi.append((s, from_multiplicities(MultiplicityVector(mults))))
+        pi.append((s, block))
 
     def rx(field):
         text = doc.get(field) or ""

@@ -2,8 +2,9 @@
 higher-order equation for one chosen component.
 
 The pipeline is: permute the target component first, triangularize the
-coefficient matrix by conjugating with one-special-row transforms (with a
-deterministic smallest-index swap rule), then back-substitute the rows to
+coefficient matrix by conjugating with one-special-row transforms, each
+carried out as one row step and one column sweep (with a deterministic
+smallest-index swap rule), then back-substitute the rows to
 eliminate every component but the first, and finally bring the equation to
 a normal form (lowest shift at index zero, denominators cleared, common
 polynomial factor removed, leading coefficient one when it is constant).
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from .linked import QDifferenceSystem, SpecError, derive_system, state_for_class
 from .qalgebra import (
     BiPoly, RationalFunction, RfMatrix, bipoly_div_exact, bipoly_gcd,
-    bipoly_lcm, mat_inverse_T, mat_mul, parse_rational,
+    bipoly_lcm, parse_rational,
 )
 
 
@@ -85,6 +86,13 @@ def triangularize(sys: QDifferenceSystem):
     matrix at the moment of return and its top-left l' x l' block is the
     reduced system.
 
+    Step s conjugates P by the transform T that is the identity except in
+    row s, which holds t_j = P[s-1][j] for j >= s:
+    P <- T(x q^-m) P T(x)^-1.  That is one row step (row s becomes
+    sum_j t_j(x q^-m) P[j]) and one column sweep (in every row, column s is
+    divided by the pivot t_s and that quotient times t_j is subtracted from
+    column j > s); zero factors are skipped.
+
     Deterministic: when a swap is needed, the smallest admissible index is
     chosen.
     """
@@ -96,22 +104,31 @@ def triangularize(sys: QDifferenceSystem):
         row = s - 1
         if all(p[row, j].is_zero() for j in range(s, n)):
             return s, p
+        entries = [list(r) for r in p.entries]
         if p[row, s].is_zero():
             t = next((j for j in range(s + 1, n) if not p[row, j].is_zero()), None)
             if t is None:
                 # unreachable: the all-zero test above would have returned
                 raise TriangularizationError("no pivot available for the swap")
-            entries = [list(r) for r in p.entries]
             entries[s], entries[t] = entries[t], entries[s]
             for r in entries:
                 r[s], r[t] = r[t], r[s]
-            p = RfMatrix(entries)
-        t_rows = [[RationalFunction(1) if i == j else RationalFunction(0)
-                   for j in range(n)] for i in range(n)]
-        for j in range(s, n):
-            t_rows[s][j] = p[row, j]
-        t_mat = RfMatrix(t_rows)
-        p = mat_mul(mat_mul(t_mat.shift_x(-m), p), mat_inverse_T(t_mat))
+        pivot = entries[row][s]
+        tail = [(j, entries[row][j]) for j in range(s + 1, n)
+                if not entries[row][j].is_zero()]
+        shifted = [(j, tj.shift_x(-m)) for j, tj in [(s, pivot)] + tail]
+        terms = [[tj * entries[j][k] for j, tj in shifted
+                  if not entries[j][k].is_zero()] for k in range(n)]
+        entries[s] = [sum(ts[1:], ts[0]) if ts else RationalFunction.zero()
+                      for ts in terms]
+        for r in entries:
+            if r[s].is_zero():
+                continue
+            c = r[s] / pivot
+            r[s] = c
+            for j, tj in tail:
+                r[j] = r[j] - c * tj
+        p = RfMatrix(entries)
     raise TriangularizationError("loop left without returning")  # unreachable
 
 

@@ -1,5 +1,5 @@
 """Exact arithmetic kernel: bivariate integer polynomials in (x, q),
-reduced rational functions, small matrices over them, and truncated
+reduced rational functions, a matrix container for them, and truncated
 q-series with exact rational coefficients.
 
 No floating point anywhere.  Rational functions are kept in a canonical
@@ -626,10 +626,6 @@ class RationalFunction:
         return f"RationalFunction({self})"
 
 
-def shift_x(a: RationalFunction, k: int) -> RationalFunction:
-    return RationalFunction._coerce(a).shift_x(k)
-
-
 # ---------------------------------------------------------------------------
 # matrices of rational functions
 # ---------------------------------------------------------------------------
@@ -647,10 +643,6 @@ class RfMatrix:
         if any(len(r) != w for r in rows):
             raise ValueError("ragged matrix")
         self.entries = rows
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
     def nrows(self):
@@ -670,70 +662,9 @@ class RfMatrix:
     def __hash__(self):
         return hash(self.entries)
 
-    def shift_x(self, k):
-        return RfMatrix([[e.shift_x(k) for e in row] for row in self.entries])
-
     def __str__(self):
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]"
                          for row in self.entries)
-
-
-def mat_mul(a: RfMatrix, b: RfMatrix) -> RfMatrix:
-    if a.ncols != b.nrows:
-        raise ValueError("matrix dimension mismatch")
-    zero = RationalFunction.zero()
-    out = []
-    for i in range(a.nrows):
-        row = []
-        for j in range(b.ncols):
-            acc = zero
-            for k in range(a.ncols):
-                e = a.entries[i][k]
-                f = b.entries[k][j]
-                if e.is_zero() or f.is_zero():
-                    continue
-                acc = acc + e * f
-            row.append(acc)
-        out.append(row)
-    return RfMatrix(out)
-
-
-def mat_inverse_T(t: RfMatrix) -> RfMatrix:
-    """Closed-form inverse of a matrix that is the identity except in one row.
-
-    The special row r has zeros left of the diagonal; the inverse keeps every
-    other row and replaces row r by (0,..,0, 1/p_rr, -p_rj/p_rr, ...).
-    Raises if the pivot p_rr is zero (the caller's swap/return branch should
-    have fired instead).
-    """
-    n = t.nrows
-    if n != t.ncols:
-        raise ValueError("not square")
-    one = RationalFunction.one()
-    zero = RationalFunction.zero()
-    special = None
-    for i in range(n):
-        row_is_identity = all(
-            (t[i, j] == one if j == i else t[i, j].is_zero()) for j in range(n)
-        )
-        if not row_is_identity:
-            if special is not None:
-                raise ValueError("matrix is not of the one-special-row shape")
-            special = i
-    if special is None:
-        return RfMatrix.identity(n)
-    r = special
-    for j in range(r):
-        if not t[r, j].is_zero():
-            raise ValueError("special row has entries left of the diagonal")
-    pivot = t[r, r]
-    if pivot.is_zero():
-        raise ZeroDivisionError("singular transform: pivot entry is zero")
-    out = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    out[r][r] = one / pivot
-    for j in range(r + 1, n):
-        out[r][j] = -t[r, j] / pivot
-    return RfMatrix(out)
 
 
 # ---------------------------------------------------------------------------
@@ -780,10 +711,6 @@ class QSeries:
         if 0 <= e <= order:
             out.coeffs[e] = c
         return out
-
-    @classmethod
-    def from_q_coeff_list(cls, ql, order):
-        return cls(list(ql), order)
 
     def __getitem__(self, n):
         if n < 0:
@@ -979,13 +906,13 @@ def rf_x_coefficient_series(rf: RationalFunction, order: int) -> dict:
     each expanded as a QSeries (denominator constant term must be a unit)."""
     if rf.den.degree_x():
         raise ValueError("denominator involves x; not expandable per x-degree")
-    den = QSeries.from_q_coeff_list(rf.den.coefficient_in_x(0), order)
+    den = QSeries(rf.den.coefficient_in_x(0), order)
     dinv = den.invert()
     out = {}
     for i in range(rf.num.degree_x() + 1):
         ql = rf.num.coefficient_in_x(i)
         if ql:
-            out[i] = QSeries.from_q_coeff_list(ql, order) * dinv
+            out[i] = QSeries(ql, order) * dinv
     return out
 
 

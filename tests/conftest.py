@@ -190,8 +190,8 @@ def rf_q_expand(rf, order):
     denominator needs a nonzero constant term."""
     if rf.num.degree_x() or rf.den.degree_x():
         raise ValueError("rational function involves x; cannot expand in q alone")
-    num = QSeries.from_q_coeff_list(rf.num.coefficient_in_x(0), order)
-    den = QSeries.from_q_coeff_list(rf.den.coefficient_in_x(0), order)
+    num = QSeries(rf.num.coefficient_in_x(0), order)
+    den = QSeries(rf.den.coefficient_in_x(0), order)
     return num * den.invert()
 
 
@@ -252,6 +252,141 @@ def fixed_point_series(system, state, order, x_value=1):
     for (i, nq), val in d.items():
         layers[i][nq] = val
     return [QSeries(ql, order) for ql in layers]
+
+
+def mat_identity(n):
+    return RfMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def mat_shift_x(a, k):
+    """Substitute x -> x*q^k in every entry."""
+    return RfMatrix([[e.shift_x(k) for e in row] for row in a.entries])
+
+
+def mat_mul(a, b):
+    if a.ncols != b.nrows:
+        raise ValueError("matrix dimension mismatch")
+    zero = RationalFunction.zero()
+    out = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            acc = zero
+            for k in range(a.ncols):
+                e = a.entries[i][k]
+                f = b.entries[k][j]
+                if e.is_zero() or f.is_zero():
+                    continue
+                acc = acc + e * f
+            row.append(acc)
+        out.append(row)
+    return RfMatrix(out)
+
+
+def mat_inverse_T(t):
+    """Closed-form inverse of a matrix that is the identity except in one row.
+
+    The special row r has zeros left of the diagonal; the inverse keeps every
+    other row and replaces row r by (0,..,0, 1/p_rr, -p_rj/p_rr, ...).
+    Raises ZeroDivisionError if the pivot p_rr is zero.
+    """
+    n = t.nrows
+    if n != t.ncols:
+        raise ValueError("not square")
+    one = RationalFunction.one()
+    zero = RationalFunction.zero()
+    special = None
+    for i in range(n):
+        row_is_identity = all(
+            (t[i, j] == one if j == i else t[i, j].is_zero()) for j in range(n)
+        )
+        if not row_is_identity:
+            if special is not None:
+                raise ValueError("matrix is not of the one-special-row shape")
+            special = i
+    if special is None:
+        return mat_identity(n)
+    r = special
+    for j in range(r):
+        if not t[r, j].is_zero():
+            raise ValueError("special row has entries left of the diagonal")
+    pivot = t[r, r]
+    if pivot.is_zero():
+        raise ZeroDivisionError("singular transform: pivot entry is zero")
+    out = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    out[r][r] = one / pivot
+    for j in range(r + 1, n):
+        out[r][j] = -t[r, j] / pivot
+    return RfMatrix(out)
+
+
+def triangularize_by_products(system):
+    """murraymiller.triangularize as explicit matrix products: at step s
+    build the full transform T (the identity except row s, which holds
+    P[s-1][j] for j >= s) and set P <- T(x q^-m) P T(x)^-1, with the same
+    smallest-index swap.  Returns (l', P) like the library loop."""
+    n = len(system.labels)
+    p = system.matrix
+    for s in range(1, n + 1):
+        row = s - 1
+        if all(p[row, j].is_zero() for j in range(s, n)):
+            return s, p
+        if p[row, s].is_zero():
+            t = next(j for j in range(s + 1, n) if not p[row, j].is_zero())
+            entries = [list(r) for r in p.entries]
+            entries[s], entries[t] = entries[t], entries[s]
+            for r in entries:
+                r[s], r[t] = r[t], r[s]
+            p = RfMatrix(entries)
+        t_rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        for j in range(s, n):
+            t_rows[s][j] = p[row, j]
+        t_mat = RfMatrix(t_rows)
+        p = mat_mul(mat_mul(mat_shift_x(t_mat, -system.step), p),
+                    mat_inverse_T(t_mat))
+    raise AssertionError("loop left without returning")
+
+
+def table_filling_minimize(m):
+    """Minimal DFA by the table-filling algorithm: mark the pairs of
+    reachable states separated by acceptance, propagate the marks to a
+    fixed point, collapse the unmarked pairs, and renumber breadth-first
+    like automata.minimize."""
+    from reglinked.automata import Dfa
+
+    order = m.reachable()
+    index = {v: k for k, v in enumerate(order)}
+    n = len(order)
+    trans = [[index[t] for t in m.transitions[v]] for v in order]
+    accept = [v in m.accept for v in order]
+    marked = [[accept[i] != accept[j] for j in range(i)] for i in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            for j in range(i):
+                if marked[i][j]:
+                    continue
+                for a, b in zip(trans[i], trans[j]):
+                    if a != b and marked[max(a, b)][min(a, b)]:
+                        marked[i][j] = changed = True
+                        break
+    rep = [next(j for j in range(i + 1) if j == i or not marked[i][j])
+           for i in range(n)]
+    number = {rep[0]: 0}
+    queue = [rep[0]]
+    rows = []
+    for c in queue:
+        row = []
+        for t in trans[c]:
+            t = rep[t]
+            if t not in number:
+                number[t] = len(queue)
+                queue.append(t)
+            row.append(number[t])
+        rows.append(row)
+    return Dfa(m.alphabet, rows, 0,
+               {number[c] for c in queue if accept[c]})
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from conftest import (GOLDEN_DFA_ACCEPT, GOLDEN_DFA_TABLE, all_words,
-                      equivalent_via_product, regex_match_words)
+                      equivalent_via_product, regex_match_words,
+                      table_filling_minimize)
 from reglinked import automata as A
 from reglinked.automata import (
     AND, OR, AlphabetError, Concat, Dfa, Empty, Epsilon, RegexSyntaxError,
@@ -14,6 +15,22 @@ from reglinked.automata import (
 )
 
 DIGITS = ("0", "1", "2", "3", "4")
+
+
+@pytest.fixture(autouse=True)
+def minimize_matches_table_filling(monkeypatch):
+    """Every DFA this module minimizes, directly or inside a library
+    construction, must minimize to the table-filling reference's result."""
+    moore = A.minimize
+
+    def checked(m):
+        got = moore(m)
+        assert got == table_filling_minimize(m), m
+        return got
+
+    monkeypatch.setattr(A, "minimize", checked)
+    monkeypatch.setitem(globals(), "minimize", checked)
+
 
 NANDI_X = "12U13U14U21U22U23U24U32U34U42U43U44U104U203U204U304U404U41*03"
 
@@ -174,6 +191,36 @@ def test_minimize_idempotent_and_merges_equivalent_states():
     assert small.num_states == 2
     assert equivalent(m, small)
     assert minimize(small) == small
+
+
+def test_minimize_matches_table_filling_on_random_dfas():
+    # each machine copies a random k-class machine over n states, so
+    # states merge; odd trials add states the start cannot reach; trial % 3
+    # picks all states accepting, none, or a random set of classes
+    rng = random.Random(1956)
+    merged = unreachable = 0
+    for trial in range(36):
+        alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
+        n = rng.randint(1, 40)
+        live = rng.randint(1, n) if trial % 2 else n
+        k = rng.randint(1, live)
+        cls = [v % k for v in range(n)]
+        ctrans = [[rng.randrange(k) for _ in alphabet] for _ in range(k)]
+        rows = [tuple(rng.choice([u for u in range(live if v < live else n)
+                                  if cls[u] == c])
+                      for c in ctrans[cls[v]])
+                for v in range(n)]
+        good = {c for c in range(k) if rng.random() < 0.5}
+        accept = [set(range(n)), set(),
+                  {v for v in range(n) if cls[v] in good}][trial % 3]
+        m = Dfa(alphabet, rows, rng.randrange(live), accept)
+        got = minimize(m)
+        assert got == table_filling_minimize(m), trial
+        assert equivalent_via_product(m, got), trial
+        reach = len(m.reachable())
+        unreachable += reach < n
+        merged += got.num_states < reach
+    assert merged >= 10 and unreachable >= 5
 
 
 def test_equivalence_examples():

@@ -7,6 +7,15 @@ from reglinked.murraymiller import equation_from_text
 from reglinked.qseries import nandi_equation
 
 
+DIFF2_SPEC = """m: 1
+alphabet: [0, 1]
+pi:
+  0: []
+  1: [1]
+forbidden_patterns: "11U101"
+"""
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -149,6 +158,29 @@ def test_verify_structured_names_the_first_mismatch(tmp_path, capsys):
     ]
 
 
+def test_verify_spec_without_the_class_targets_is_an_input_error(tmp_path, capsys):
+    # the difference-2 spec has no symbol 3 for class 1's target 3U4, and
+    # with the patterns "44" no state has that target's prefix language
+    diff2 = tmp_path / "diff2.spec"
+    diff2.write_text(DIFF2_SPEC, encoding="utf-8")
+    with open(nandi_spec_path(), encoding="utf-8") as fh:
+        nandi = fh.read()
+    patterns = next(l for l in nandi.splitlines()
+                    if l.startswith("forbidden_patterns:"))
+    no_state = tmp_path / "no-state.spec"
+    no_state.write_text(nandi.replace(patterns, 'forbidden_patterns: "44"'),
+                        encoding="utf-8")
+    for path, which, why in ((diff2, "all", "unknown symbol '3'"),
+                             (no_state, "1", "no state matches")):
+        for fmt in ("text", "structured"):
+            code, out, err = run(capsys, "verify", which, "--order", "10",
+                                 "--format", fmt, "--spec", str(path))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: class 1: target '3U4': ")
+            assert why in err
+
+
 def test_verify_x_order_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "1", "--order", "30", "--x-order", "2"])
@@ -165,6 +197,20 @@ def test_verify_determinism(capsys):
 def test_missing_spec_file(capsys):
     code, _, err = run(capsys, "dfa", "--spec", "/nonexistent.spec", "table")
     assert code == 2
+
+
+@pytest.mark.parametrize("old, new, field", [
+    ("m: 1", "m: abc", "m: "),
+    ("1: [1]", "1: [x]", "pi['1']: "),
+    ("1: [1]", "1: [-1]", "pi['1']: "),
+])
+def test_malformed_spec_value_is_an_input_error(tmp_path, capsys, old, new, field):
+    path = tmp_path / "bad.spec"
+    path.write_text(DIFF2_SPEC.replace(old, new), encoding="utf-8")
+    code, out, err = run(capsys, "dfa", "--spec", str(path), "table")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: " + field)
 
 
 def test_usage_error_exit_code(capsys):

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from conftest import (CLASS_STATE, GOLDEN_EQUATION, GOLDEN_P5, NO_SWAP_ORDER,
-                      random_spec)
+                      mat_inverse_T, mat_mul, mat_shift_x, random_spec,
+                      triangularize_by_products)
 from reglinked.linked import (QDifferenceSystem, derive_system,
                               parse_spec_text, series_from_system)
 from reglinked.murraymiller import (
@@ -82,7 +83,6 @@ def test_reordered_head_matrices(a, nandi_system):
 def test_manual_first_conjugation_step(nandi_system):
     # carry out P2 = T1(x q^-2) P1 T1(x)^-1 by hand with the matrix
     # primitives, then let the loop finish from there
-    from reglinked.qalgebra import mat_inverse_T, mat_mul
     system = reorder(nandi_system, NO_SWAP_ORDER[1])
     p1 = system.matrix
     n = p1.nrows
@@ -91,7 +91,7 @@ def test_manual_first_conjugation_step(nandi_system):
     for j in range(1, n):
         rows[1][j] = p1[0, j]
     t1 = RfMatrix(rows)
-    p2 = mat_mul(mat_mul(t1.shift_x(-2), p1), mat_inverse_T(t1))
+    p2 = mat_mul(mat_mul(mat_shift_x(t1, -2), p1), mat_inverse_T(t1))
     resumed = QDifferenceSystem(2, system.labels, p2, system.start)
     l_prime, p_final = triangularize(resumed)
     assert l_prime == 5
@@ -108,6 +108,30 @@ def test_triangularize_matches_reduced_matrices(a, nandi_system):
     l_prime, p = triangularize(system)
     assert l_prime == 5
     assert p == GOLDEN_P5[a]
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_triangularize_matches_matrix_products(a, nandi_system):
+    # the shipped reorders: the hand-picked one without swaps, and the
+    # target-first one the derivation uses, which swaps
+    for system in (reorder(nandi_system, NO_SWAP_ORDER[a]),
+                   reorder_first(nandi_system, CLASS_STATE[a])):
+        assert triangularize(system) == triangularize_by_products(system)
+
+
+def test_triangularize_matches_matrix_products_on_random_specs():
+    rng = random.Random(1956)
+    checked = conjugated = 0
+    while checked < 24:
+        system = derive_system(random_spec(rng))
+        if len(system.labels) < 2:
+            continue  # nothing to conjugate
+        moved = reorder_first(system, rng.choice(system.labels))
+        want = triangularize_by_products(moved)
+        assert triangularize(moved) == want, moved
+        checked += 1
+        conjugated += want[0] > 1
+    assert conjugated >= 15
 
 
 def test_triangularize_one_by_one():

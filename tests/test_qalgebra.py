@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rf_q_expand
+from conftest import mat_identity, mat_inverse_T, mat_mul, rf_q_expand
 from reglinked.qalgebra import (
     BiPoly, Q as q, QSeries, RationalFunction, RfMatrix, X as x,
-    ExpressionSyntaxError, bipoly_div_exact, bipoly_gcd, mat_inverse_T,
-    mat_mul, parse_rational, poch_finite, poch_inf, pochhammer_inverse,
-    product_series,
+    ExpressionSyntaxError, bipoly_div_exact, bipoly_gcd, parse_rational,
+    poch_finite, poch_inf, pochhammer_inverse, product_series,
 )
 
 
@@ -115,15 +114,15 @@ def test_division_by_zero_raises():
 
 
 # ---------------------------------------------------------------------------
-# matrices
+# matrices (the test-only product primitives in conftest)
 # ---------------------------------------------------------------------------
 
 def test_matrix_identities():
     p = RfMatrix([[x, 1 + q], [q**2, x * q]])
-    eye = RfMatrix.identity(2)
+    eye = mat_identity(2)
     assert mat_mul(eye, p) == p
     t = RfMatrix([[1, 0, 0], [0, x, q + 1], [0, 0, 1]])
-    assert mat_mul(t, mat_inverse_T(t)) == RfMatrix.identity(3)
+    assert mat_mul(t, mat_inverse_T(t)) == mat_identity(3)
 
 
 def test_inverse_T_singular_pivot():
