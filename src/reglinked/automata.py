@@ -1,9 +1,10 @@
 """Regular expressions, epsilon-NFAs and DFAs over finite alphabets.
 
 Supports the textbook closure constructions (product, complement,
-concatenation, star), subset construction, table-filling minimization with
-a canonical breadth-first state numbering, language equivalence, and the
-computation of minimal forbidden-prefix languages for restarted machines.
+concatenation, star), subset construction, minimization by Moore partition
+refinement with a canonical breadth-first state numbering, language
+equivalence, and the computation of minimal forbidden-prefix languages for
+restarted machines.
 
 Alphabet symbols are abstract identifiers (strings) with a declared total
 order.  Words are tuples of symbols.
@@ -470,7 +471,6 @@ def product(m1: Dfa, m2: Dfa, op) -> Dfa:
 AND = lambda a, b: a and b
 OR = lambda a, b: a or b
 XOR = lambda a, b: a != b
-DIFF = lambda a, b: a and not b
 
 
 def complement(m: Dfa) -> Dfa:

@@ -26,7 +26,7 @@ from .automata import (
 )
 from .partitions import (
     EMPTY, MultiplicityVector, Partition, from_multiplicities, oplus,
-    phi_plus, to_multiplicities, weight_monomial,
+    phi_plus, weight_monomial,
 )
 from .qalgebra import BiPoly, QSeries, RationalFunction, RfMatrix
 
@@ -46,7 +46,13 @@ class MissingTrivialSymbolError(ValueError):
 
 @dataclass(frozen=True)
 class LinkedSpec:
-    """(m, I, pi, X, X') with pi injective into the partitions with parts <= m."""
+    """(m, I, pi, X, X') with pi injective into the partitions with parts <= m.
+
+    Derived once, at construction: ``pi_map`` (symbol -> partition), the
+    block table (the parts of each image of pi -> its symbol; building it
+    is the injectivity check), ``trivial_symbol`` (the symbol of the empty
+    partition, or None when there is none) and the hash.
+    """
 
     m: int
     alphabet: tuple[str, ...]
@@ -61,8 +67,8 @@ class LinkedSpec:
             raise SpecError("alphabet must be nonempty")
         if tuple(s for s, _ in self.pi) != self.alphabet:
             raise SpecError("pi must list exactly the alphabet symbols, in order")
-        blocks = [p.parts for _, p in self.pi]
-        if len(set(blocks)) != len(blocks):
+        symbol_of_block = {p.parts: s for s, p in self.pi}
+        if len(symbol_of_block) != len(self.pi):
             raise SpecError("pi must be injective")
         for _, p in self.pi:
             if p.parts and p.parts[0] > self.m:
@@ -74,23 +80,17 @@ class LinkedSpec:
                     raise SpecError(f"{name} uses unknown symbol {s!r}")
             if nullable(r):
                 raise SpecError(f"{name} must not contain the empty word")
+        object.__setattr__(self, "pi_map", dict(self.pi))
+        object.__setattr__(self, "_symbol_of_block", symbol_of_block)
+        object.__setattr__(self, "trivial_symbol", symbol_of_block.get(()))
+        # the regex trees hash recursively, and every build_forbidden_dfa
+        # lookup hashes the spec
+        object.__setattr__(self, "_hash", hash(
+            (self.m, self.alphabet, self.pi, self.forbidden_patterns,
+             self.forbidden_prefixes)))
 
-    @property
-    def pi_map(self):
-        return dict(self.pi)
-
-    @property
-    def trivial_symbol(self):
-        for s, p in self.pi:
-            if p.is_empty():
-                return s
-        return None
-
-    def block_of(self, symbol):
-        """Length-m multiplicity block of pi(symbol)."""
-        p = self.pi_map[symbol]
-        f = to_multiplicities(p)
-        return tuple(f[i] for i in range(1, self.m + 1))
+    def __hash__(self):
+        return self._hash
 
 
 # ---------------------------------------------------------------------------
@@ -112,21 +112,24 @@ def parse_spec_text(text: str) -> LinkedSpec:
     if not isinstance(doc, dict):
         raise SpecError("spec file must be a mapping")
     try:
-        m = int(doc["m"])
+        m = doc["m"]
         alphabet = tuple(str(s) for s in doc["alphabet"])
         pi_raw = {str(k): v for k, v in doc["pi"].items()}
     except (KeyError, TypeError, AttributeError) as e:
         raise SpecError(f"spec file missing field: {e}") from e
-    except ValueError as e:
-        raise SpecError(f"m: {e}") from e
+    # exact type: int() would truncate 2.5 and read true as 1
+    if type(m) is not int:
+        raise SpecError(f"m: expected an integer, got {m!r}")
     pi = []
     for s in alphabet:
         if s not in pi_raw:
             raise SpecError(f"pi missing symbol {s!r}")
+        mults = [] if pi_raw[s] is None else pi_raw[s]
+        if not isinstance(mults, list) or any(type(v) is not int for v in mults):
+            raise SpecError(f"pi[{s!r}]: expected a list of integers, got {mults!r}")
         try:
-            mults = [int(v) for v in (pi_raw[s] or [])]
             block = from_multiplicities(MultiplicityVector(mults))
-        except (TypeError, ValueError) as e:
+        except ValueError as e:
             raise SpecError(f"pi[{s!r}]: {e}") from e
         if len(mults) > m:
             raise SpecError(f"pi[{s!r}] longer than the block length")
@@ -169,18 +172,22 @@ def nandi_spec_path() -> str:
 def encode(p: Partition, spec: LinkedSpec):
     """Cut the multiplicity vector into length-m blocks and name each block.
 
+    Block k holds the parts in (k*m, (k+1)*m], shifted down by k*m: the
+    partition that the k-th length-m multiplicity block spells.
     Returns the symbol sequence with trailing trivial symbols trimmed;
     raises BlockEncodingError when some block is not in the image of pi.
     """
-    f = to_multiplicities(p)
-    lookup = {spec.block_of(s): s for s in spec.alphabet}
-    n_blocks = -(-f.support_bound() // spec.m)
+    m = spec.m
+    blocks = [[] for _ in range(-(-p.parts[0] // m) if p.parts else 0)]
+    for part in p.parts:
+        k = (part - 1) // m
+        blocks[k].append(part - m * k)
     word = []
-    for b in range(n_blocks):
-        block = tuple(f[spec.m * b + i] for i in range(1, spec.m + 1))
-        sym = lookup.get(block)
+    for k, block in enumerate(blocks):
+        sym = spec._symbol_of_block.get(tuple(block))
         if sym is None:
-            raise BlockEncodingError(f"block {block} at offset {b} not in the image of pi")
+            raise BlockEncodingError(
+                f"block {block} at offset {k} not in the image of pi")
         word.append(sym)
     triv = spec.trivial_symbol
     while word and word[-1] == triv:
@@ -308,29 +315,15 @@ def _trivial_successors(mono):
 
 
 def _empty_word_survives(succ):
-    """survive[v] = 1 iff the all-trivial tail from v never dies."""
-    n = len(succ)
-    survive = [None] * n
-    for v in range(n):
-        path = []
-        on_path = set()
-        u = v
-        while True:
-            if survive[u] is not None:
-                val = survive[u]
-                break
-            if u in on_path:
-                val = 1  # entered a cycle of trivial moves
-                break
-            on_path.add(u)
-            path.append(u)
-            if succ[u] is None:
-                val = 0
-                break
-            u = succ[u]
-        for w in path:
-            survive[w] = val
-    return survive
+    """survive[v] = 1 iff the all-trivial tail from v never dies: |Q| steps
+    that never die visit some state twice, so the walk then cycles."""
+    def survives(v):
+        for _ in range(len(succ)):
+            v = succ[v]
+            if v is None:
+                return 0
+        return 1
+    return [survives(v) for v in range(len(succ))]
 
 
 def series_from_system(sys: QDifferenceSystem, state, order: int, x_value=1):
@@ -407,27 +400,21 @@ def member(p: Partition, spec: LinkedSpec, state=None) -> bool:
     trivial trajectory becomes periodic within |Q| steps, so this finite
     check decides the infinite-tail condition.
     """
-    dfa = build_forbidden_dfa(spec)
     triv = spec.trivial_symbol
     if triv is None:
         raise MissingTrivialSymbolError(
             "no symbol maps to the empty partition; padded sequences do not exist")
-    v = dfa.start if state is None else state
-    if v in dfa.accept:
-        return False
+    dfa = build_forbidden_dfa(spec)
     try:
         word = encode(p, spec)
     except BlockEncodingError:
         return False
-    for sym in word:
+    v = dfa.start if state is None else state
+    for sym in word + (triv,) * dfa.num_states:
+        if v in dfa.accept:
+            return False
         v = dfa.step(v, sym)
-        if v in dfa.accept:
-            return False
-    for _ in range(dfa.num_states):
-        v = dfa.step(v, triv)
-        if v in dfa.accept:
-            return False
-    return True
+    return v not in dfa.accept
 
 
 # ---------------------------------------------------------------------------

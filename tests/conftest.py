@@ -185,6 +185,33 @@ def random_spec(rng, m=None):
 # independent routes kept as test-only references
 # ---------------------------------------------------------------------------
 
+def encode_by_multiplicities(p, spec):
+    """linked.encode by the multiplicity-vector route: every symbol's
+    length-m block read off to_multiplicities(pi(symbol)), and the
+    partition's multiplicity vector cut into length-m blocks."""
+    from reglinked.linked import BlockEncodingError
+    from reglinked.partitions import to_multiplicities
+
+    m = spec.m
+
+    def block(f, b):
+        return tuple(f[m * b + i] for i in range(1, m + 1))
+
+    lookup = {block(to_multiplicities(image), 0): s for s, image in spec.pi}
+    f = to_multiplicities(p)
+    word = []
+    for b in range(-(-f.support_bound() // m)):
+        here = block(f, b)
+        if here not in lookup:
+            raise BlockEncodingError(
+                f"block {here} at offset {b} not in the image of pi")
+        word.append(lookup[here])
+    trivial = lookup.get((0,) * m)
+    while word and word[-1] == trivial:
+        word.pop()
+    return tuple(word)
+
+
 def rf_q_expand(rf, order):
     """Expand an x-free rational function as a truncated q-series; the
     denominator needs a nonzero constant term."""

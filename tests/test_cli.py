@@ -213,6 +213,27 @@ def test_malformed_spec_value_is_an_input_error(tmp_path, capsys, old, new, fiel
     assert err.startswith("error: " + field)
 
 
+@pytest.mark.parametrize("old, new, field", [
+    ("m: 2", "m: 2.5", "m: "),
+    ("m: 2", "m: true", "m: "),
+    ("1: [1]", "1: [0, 1.7]", "pi['1']: "),
+    ("1: [1]", "1: [0, true]", "pi['1']: "),
+    ("0: []", "0: 0", "pi['0']: "),
+    ("0: []", "0: false", "pi['0']: "),
+])
+def test_spec_value_of_the_wrong_type_is_an_input_error(tmp_path, capsys, old,
+                                                        new, field):
+    # each of these was truncated by int() or, for a falsy scalar, read as
+    # the empty list, and derived an equation with exit 0
+    path = tmp_path / "bad.spec"
+    text = DIFF2_SPEC.replace("m: 1", "m: 2").replace(old, new)
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "derive", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: " + field)
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

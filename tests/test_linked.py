@@ -1,10 +1,12 @@
+import dataclasses
 import random
 
 import pytest
 
 from conftest import (CLASS_PREFIXES, CLASS_STATE, GOLDEN_DFA_ACCEPT,
                       GOLDEN_DFA_TABLE, GOLDEN_SYSTEM_ROWS,
-                      brute_partition_counts, fixed_point_series, random_spec)
+                      brute_partition_counts, encode_by_multiplicities,
+                      fixed_point_series, random_spec)
 from reglinked import linked
 from reglinked.automata import Dfa, Empty, Symbol, isomorphism, parse_regex
 from reglinked.linked import (
@@ -53,6 +55,21 @@ forbidden_patterns: "11"
         parse_spec_text(base.replace("1: [1]", "1: []"))  # not injective
 
 
+def test_spec_hash_is_cached_and_equal_parses_share_one_dfa():
+    with open(nandi_spec_path(), encoding="utf-8") as fh:
+        text = fh.read()
+    a, b = parse_spec_text(text), parse_spec_text(text)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    with_prefix = dataclasses.replace(a, forbidden_prefixes=Symbol("1"))
+    assert with_prefix != a
+    build_forbidden_dfa.cache_clear()
+    assert build_forbidden_dfa(a) is build_forbidden_dfa(b)
+    build_forbidden_dfa(with_prefix)
+    info = build_forbidden_dfa.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+
+
 # ---------------------------------------------------------------------------
 # encoding
 # ---------------------------------------------------------------------------
@@ -64,6 +81,26 @@ def test_encode_examples():
     assert encode(Partition((2, 2)), spec) == ("2",)
     with pytest.raises(BlockEncodingError):
         encode(Partition((2, 2, 2)), spec)
+
+
+def test_encode_matches_multiplicity_route():
+    diff_two = lpi_to_spec(
+        LpiData(1, (EMPTY, Partition((1,))), ((0, 1), (0, 1)), (1, 2)))
+    rng = random.Random(1729)
+    specs = [nandi_spec(), diff_two] + [random_spec(rng) for _ in range(20)]
+    outcomes = set()
+    for spec in specs:
+        for n in range(15):
+            for p in partitions_of(n):
+                routes = []
+                for route in (encode, encode_by_multiplicities):
+                    try:
+                        routes.append(route(p, spec))
+                    except BlockEncodingError:
+                        routes.append(BlockEncodingError)
+                assert routes[0] == routes[1], (spec, p)
+                outcomes.add(routes[0] is BlockEncodingError)
+    assert outcomes == {False, True}
 
 
 def test_decode_examples():
@@ -239,6 +276,18 @@ def test_series_from_system_rejects_zero_weight_self_feed():
     # the same loop on the constant term alone is the seeded exception
     loop = QDifferenceSystem(1, (0,), RfMatrix([[RationalFunction._coerce(1)]]), 0)
     assert series_from_system(loop, 0, 4) == QSeries.one(4)
+
+
+def test_empty_word_survives_on_hand_built_successors():
+    survives = linked._empty_word_survives
+    # a chain of |Q| - 1 steps into a dead end: dies from every state
+    assert survives([1, 2, 3, None]) == [0, 0, 0, 0]
+    # a chain into a cycle, and a chain into a self-loop
+    assert survives([1, 2, 3, 1]) == [1, 1, 1, 1]
+    assert survives([1, 2, 3, 3]) == [1, 1, 1, 1]
+    # a self-loop beside a chain into a dead end
+    assert survives([0, 2, None]) == [1, 0, 0]
+    assert survives([None, None]) == [0, 0]
 
 
 def test_distinct_parts_system():
