@@ -11,9 +11,9 @@ against brute-force enumeration, infinite products and double sums.
 
 from .partitions import (
     EMPTY, MultiplicityVector, Partition, check_modulus_conditions,
-    count_class_series, from_multiplicities, in_class, oplus, partitions_of,
-    phi_minus, phi_plus, satisfies_nandi, satisfies_nandi_mult,
-    to_multiplicities, truncate_gt, truncate_le, weight_monomial,
+    from_multiplicities, in_class, oplus, partitions_of, phi_minus, phi_plus,
+    satisfies_nandi, satisfies_nandi_mult, to_multiplicities, truncate_gt,
+    truncate_le, weight_monomial,
 )
 from .qalgebra import (
     BiPoly, QSeries, Q, RationalFunction, RfMatrix, X, parse_rational,

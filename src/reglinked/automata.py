@@ -1,10 +1,10 @@
 """Regular expressions, epsilon-NFAs and DFAs over finite alphabets.
 
-Supports the textbook closure constructions (product, complement,
-concatenation, star), subset construction, minimization by Moore partition
-refinement with a canonical breadth-first state numbering, language
-equivalence, and the computation of minimal forbidden-prefix languages for
-restarted machines.
+Supports regexes with union, concatenation and star through their
+epsilon-NFAs, subset construction, product and complement of DFAs,
+minimization by Moore partition refinement with a canonical breadth-first
+state numbering, language equivalence, and minimal forbidden-prefix
+languages for restarted machines, read off one product walk.
 
 Alphabet symbols are abstract identifiers (strings) with a declared total
 order.  Words are tuples of symbols.
@@ -478,32 +478,6 @@ def complement(m: Dfa) -> Dfa:
                m.start, frozenset(range(m.num_states)) - m.accept)
 
 
-def dfa_concat(m1: Dfa, m2: Dfa) -> Dfa:
-    """Concatenation via the epsilon-NFA construction, then determinized."""
-    if m1.alphabet != m2.alphabet:
-        raise AlphabetError("concatenation of automata over different alphabets")
-    n1 = m1.num_states
-    trans = {}
-    for v in range(n1):
-        for k, a in enumerate(m1.alphabet):
-            trans.setdefault((v, a), set()).add(m1.transitions[v][k])
-    for v in range(m2.num_states):
-        for k, a in enumerate(m2.alphabet):
-            trans.setdefault((n1 + v, a), set()).add(n1 + m2.transitions[v][k])
-    for f in m1.accept:
-        trans.setdefault((f, None), set()).add(n1 + m2.start)
-    nfa = EpsNfa(m1.alphabet, n1 + m2.num_states, trans, m1.start,
-                 frozenset(n1 + f for f in m2.accept))
-    return subset_construction(nfa)
-
-
-def sigma_dfa(alphabet) -> Dfa:
-    """DFA for the length-one words (the alphabet itself)."""
-    k = len(tuple(alphabet))
-    rows = [tuple([1] * k), tuple([2] * k), tuple([2] * k)]
-    return Dfa(alphabet, rows, 0, frozenset([1]))
-
-
 def minimize(m: Dfa) -> Dfa:
     """Minimal DFA via Moore's partition refinement.
 
@@ -579,17 +553,22 @@ def min_forbidden_prefixes(m: Dfa, v: int, x_pattern: Dfa) -> Dfa:
     "anything matching the pattern set, or beginning with a prefix".
 
     Computes  (L(M_v)  intersect  L(M_v)^c . Sigma)  minus  L(x_pattern),
-    where x_pattern recognizes Sigma*X; assembled from product, complement
-    and concatenation, then minimized.
+    where x_pattern recognizes Sigma*X, by one breadth-first walk over
+    (state of m, "the state before the last symbol was rejecting", state of
+    x_pattern) from (v, False, x_pattern.start), then minimized.
     """
     if v in m.accept:
         raise ValueError("state is accepting; restarted language contains the empty word")
     if v not in m.reachable():
         raise ValueError("state is not reachable")
-    mv = restart(m, v)
-    almost = dfa_concat(complement(mv), sigma_dfa(m.alphabet))
-    base = product(mv, almost, AND)
-    return minimize(product(base, complement(x_pattern), AND))
+    if m.alphabet != x_pattern.alphabet:
+        raise AlphabetError("pattern automaton over a different alphabet")
+    return minimize(_renumber_bfs(
+        m.alphabet,
+        lambda s: [(t, s[0] not in m.accept, u) for t, u in
+                   zip(m.transitions[s[0]], x_pattern.transitions[s[2]])],
+        (v, False, x_pattern.start),
+        lambda s: s[0] in m.accept and s[1] and s[2] not in x_pattern.accept))
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,11 @@ class LinkedSpec:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # rebuilt, not copied: the hash depends on the string-hash seed
+        return LinkedSpec, (self.m, self.alphabet, self.pi,
+                            self.forbidden_patterns, self.forbidden_prefixes)
+
 
 # ---------------------------------------------------------------------------
 # spec files
@@ -120,6 +125,9 @@ def parse_spec_text(text: str) -> LinkedSpec:
     # exact type: int() would truncate 2.5 and read true as 1
     if type(m) is not int:
         raise SpecError(f"m: expected an integer, got {m!r}")
+    unknown = sorted(set(pi_raw) - set(alphabet))
+    if unknown:
+        raise SpecError(f"pi: symbol {unknown[0]!r} is not in the alphabet")
     pi = []
     for s in alphabet:
         if s not in pi_raw:
@@ -269,13 +277,13 @@ def derive_system(spec: LinkedSpec) -> QDifferenceSystem:
 
 def state_for_class(spec: LinkedSpec, extra_prefixes: Regex):
     """The non-accepting state whose restarted language is
-    I* X I*  union  L(extra_prefixes) I*, or None if no state matches."""
+    I* X I*  union  L(extra_prefixes) I*, or None if no state matches
+    (the target DFA is minimal, so a matching state minimizes to it)."""
     target = _forbidden_language_dfa(spec, extra_prefixes)
     dfa = build_forbidden_dfa(spec)
     for v in range(dfa.num_states):
-        if v in dfa.accept:
-            continue
-        if automata.equivalent(automata.restart(dfa, v), target):
+        if v not in dfa.accept and automata.minimize(
+                automata.restart(dfa, v)) == target:
             return v
     return None
 

@@ -25,6 +25,9 @@ class Partition:
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
+    def __reduce__(self):
+        return Partition, (self.parts,)
+
     def __len__(self):
         return len(self.parts)
 
@@ -69,6 +72,9 @@ class MultiplicityVector:
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiplicityVector is immutable")
+
+    def __reduce__(self):
+        return MultiplicityVector, (self.mults,)
 
     def __getitem__(self, i):
         # 1-based part value; zero beyond the support
@@ -297,13 +303,6 @@ def partitions_of(n: int):
         raise ValueError("n must be >= 0")
     for raw in _raw_partitions_of(n):
         yield Partition(tuple(raw))
-
-
-def count_class_series(a: int, order: int):
-    """Counts c_0..c_order of class-a partitions by exhaustive enumeration."""
-    if a not in (1, 2, 3):
-        raise ValueError("class index must be 1, 2 or 3")
-    return [counts[a] for counts in _sweep_counts(order)]
 
 
 def count_all_class_series(order: int):

@@ -19,7 +19,8 @@ from math import gcd as _int_gcd
 # ---------------------------------------------------------------------------
 
 def _u_trim(a):
-    while a and a[-1] == 0:
+    # also trims x-profiles (lists of q-coefficient lists): [] is falsy
+    while a and not a[-1]:
         a.pop()
     return a
 
@@ -201,14 +202,6 @@ class BiPoly:
             return 0
         return self.terms[max(self.terms)]
 
-    def content(self):
-        g = 0
-        for c in self.terms.values():
-            g = _int_gcd(g, abs(c))
-            if g == 1:
-                break
-        return g
-
     def coefficient_in_x(self, i):
         """Dense q-coefficient list of x^i."""
         out = []
@@ -309,23 +302,6 @@ class BiPoly:
     def _x_piece(i):
         return "x" if i == 1 else f"x^{i}"
 
-    def _render_q_poly(self, pairs):
-        # pairs: sorted (j, c); plain signed sum like "q^2 + q^3 + q^4"
-        out = []
-        for j, c in pairs:
-            mag = abs(c)
-            if j == 0:
-                body = str(mag)
-            elif mag == 1:
-                body = self._q_piece(j)
-            else:
-                body = f"{mag}*{self._q_piece(j)}"
-            if not out:
-                out.append(body if c > 0 else f"-{body}")
-            else:
-                out.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(out)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -335,7 +311,7 @@ class BiPoly:
             if not pairs:
                 continue
             if i == 0:
-                body = self._render_q_poly(pairs)
+                body = _render_q_poly(pairs)
                 neg = body.startswith("-")
             elif len(pairs) == 1:
                 j, c = pairs[0]
@@ -350,7 +326,7 @@ class BiPoly:
                 neg = all(c < 0 for _, c in pairs)
                 if neg:
                     pairs = [(j, -c) for j, c in pairs]
-                body = ("-" if neg else "") + f"{self._x_piece(i)}*({self._render_q_poly(pairs)})"
+                body = ("-" if neg else "") + f"{self._x_piece(i)}*({_render_q_poly(pairs)})"
             if not chunks:
                 chunks.append(body)
             elif body.startswith("-"):
@@ -365,6 +341,24 @@ class BiPoly:
 
 X = BiPoly.var_x()
 Q = BiPoly.var_q()
+
+
+def _render_q_poly(pairs):
+    # ascending (exponent, nonzero coefficient) pairs -> "1 - q^2 + 3*q^4"
+    out = []
+    for j, c in pairs:
+        mag = abs(c)
+        if j == 0:
+            body = str(mag)
+        elif mag == 1:
+            body = BiPoly._q_piece(j)
+        else:
+            body = f"{mag}*{BiPoly._q_piece(j)}"
+        if not out:
+            out.append(body if c > 0 else f"-{body}")
+        else:
+            out.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(out) or "0"
 
 
 def _bipoly_from_profile(prof):
@@ -392,12 +386,6 @@ def _profile_primitive(prof):
     return [_u_div_exact(ql, g) for ql in prof]
 
 
-def _profile_trim(prof):
-    while prof and not prof[-1]:
-        prof.pop()
-    return prof
-
-
 def _x_pseudo_rem(a, b):
     # a, b: lists of q-coefficient lists; primitive PRS step in x
     r = [list(ql) for ql in a]
@@ -409,7 +397,7 @@ def _x_pseudo_rem(a, b):
         r = [_u_mul(ql, lb) for ql in r]
         for i, ql in enumerate(b):
             r[dr - db + i] = _u_sub(r[dr - db + i], _u_mul(ql, lr))
-        _profile_trim(r)
+        _u_trim(r)
     return r
 
 
@@ -430,8 +418,8 @@ def bipoly_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
     if b.is_zero():
         g = a
         return -g if a.leading_coefficient() < 0 else g
-    pa = _profile_trim(a.x_profile())
-    pb = _profile_trim(b.x_profile())
+    pa = _u_trim(a.x_profile())
+    pb = _u_trim(b.x_profile())
     ca = _profile_content(pa)
     cb = _profile_content(pb)
     pa = _profile_primitive(pa)
@@ -440,7 +428,7 @@ def bipoly_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
         pa, pb = pb, pa
     while pb:
         r = _x_pseudo_rem(pa, pb)
-        pa, pb = pb, _profile_primitive(_profile_trim(r))
+        pa, pb = pb, _profile_primitive(_u_trim(r))
     g = _bipoly_from_profile([_u_mul(ql, _u_gcd(ca, cb)) for ql in pa])
     if g.leading_coefficient() < 0:
         g = -g
@@ -453,8 +441,8 @@ def bipoly_div_exact(a: BiPoly, b: BiPoly) -> BiPoly:
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
         return BiPoly()
-    pa = _profile_trim(a.x_profile())
-    pb = _profile_trim(b.x_profile())
+    pa = _u_trim(a.x_profile())
+    pb = _u_trim(b.x_profile())
     if len(pa) < len(pb):
         raise ArithmeticError("inexact bivariate division")
     out = [[] for _ in range(len(pa) - len(pb) + 1)]
@@ -741,8 +729,6 @@ class QSeries:
         return QSeries([-c for c in self.coeffs], self.order)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -818,14 +804,6 @@ class QSeries:
     def __hash__(self):
         return hash((self.order, tuple(self.coeffs)))
 
-    def agrees_with(self, other, through=None):
-        t = min(self.order, other.order)
-        if through is not None:
-            if through > t:
-                raise ValueError("comparison order beyond truncation")
-            t = through
-        return self.coeffs[: t + 1] == other.coeffs[: t + 1]
-
     def first_mismatch(self, other):
         """Smallest exponent where the two series differ, or None."""
         t = min(self.order, other.order)
@@ -835,22 +813,7 @@ class QSeries:
         return None
 
     def __str__(self):
-        chunks = []
-        for n, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mag = abs(c)
-            if n == 0:
-                body = str(mag)
-            elif mag == 1:
-                body = "q" if n == 1 else f"q^{n}"
-            else:
-                body = f"{mag}*q" if n == 1 else f"{mag}*q^{n}"
-            if not chunks:
-                chunks.append(body if c > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(chunks) if chunks else "0"
+        return _render_q_poly((n, c) for n, c in enumerate(self.coeffs) if c)
 
     def __repr__(self):
         return f"QSeries({self}, order={self.order})"

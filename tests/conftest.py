@@ -232,6 +232,62 @@ def equivalent_via_product(m1, m2):
     return not any(v in diff.accept for v in diff.reachable())
 
 
+def dfa_concat(m1, m2):
+    """Concatenation via the epsilon-NFA construction, then determinized."""
+    from reglinked.automata import AlphabetError, EpsNfa, subset_construction
+
+    if m1.alphabet != m2.alphabet:
+        raise AlphabetError("concatenation of automata over different alphabets")
+    n1 = m1.num_states
+    trans = {}
+    for v in range(n1):
+        for k, a in enumerate(m1.alphabet):
+            trans.setdefault((v, a), set()).add(m1.transitions[v][k])
+    for v in range(m2.num_states):
+        for k, a in enumerate(m2.alphabet):
+            trans.setdefault((n1 + v, a), set()).add(n1 + m2.transitions[v][k])
+    for f in m1.accept:
+        trans.setdefault((f, None), set()).add(n1 + m2.start)
+    nfa = EpsNfa(m1.alphabet, n1 + m2.num_states, trans, m1.start,
+                 frozenset(n1 + f for f in m2.accept))
+    return subset_construction(nfa)
+
+
+def min_forbidden_prefixes_by_products(m, v, x_pattern):
+    """automata.min_forbidden_prefixes assembled from closure constructions:
+    (L(M_v) & L(M_v)^c . Sigma) minus L(x_pattern), with Sigma a
+    hand-written three-state table, then minimized."""
+    from reglinked import automata as A
+
+    if v in m.accept:
+        raise ValueError("state is accepting; restarted language contains the empty word")
+    if v not in m.reachable():
+        raise ValueError("state is not reachable")
+    k = len(m.alphabet)
+    sigma = A.Dfa(m.alphabet, [(1,) * k, (2,) * k, (2,) * k], 0, {1})
+    mv = A.restart(m, v)
+    almost = dfa_concat(A.complement(mv), sigma)
+    base = A.product(mv, almost, A.AND)
+    return A.minimize(A.product(base, A.complement(x_pattern), A.AND))
+
+
+def state_for_class_by_equivalence(spec, extra_prefixes):
+    """linked.state_for_class by a language-equivalence test of every
+    non-accepting restarted state against the class's forbidden language."""
+    from reglinked import automata as A
+    from reglinked.linked import build_forbidden_dfa, sigma_star
+
+    istar = sigma_star(spec)
+    target = A.dfa_from_regex(
+        A.Union(A.concat_all([istar, spec.forbidden_patterns, istar]),
+                A.Concat(extra_prefixes, istar)), spec.alphabet)
+    dfa = build_forbidden_dfa(spec)
+    for v in range(dfa.num_states):
+        if v not in dfa.accept and A.equivalent(A.restart(dfa, v), target):
+            return v
+    return None
+
+
 def fixed_point_series(system, state, order, x_value=1):
     """The per-state series of a q-difference system by fixed-point
     iteration: order + 1 sweeps of every state over bivariate series

@@ -3,12 +3,13 @@ import random
 import pytest
 
 from conftest import (GOLDEN_DFA_ACCEPT, GOLDEN_DFA_TABLE, all_words,
-                      equivalent_via_product, regex_match_words,
+                      dfa_concat, equivalent_via_product,
+                      min_forbidden_prefixes_by_products, regex_match_words,
                       table_filling_minimize)
 from reglinked import automata as A
 from reglinked.automata import (
     AND, OR, AlphabetError, Concat, Dfa, Empty, Epsilon, RegexSyntaxError,
-    Star, Symbol, Union, complement, dfa_concat, dfa_from_regex, dfa_from_text,
+    Star, Symbol, Union, complement, dfa_from_regex, dfa_from_text,
     dfa_to_text, empty_dfa, equivalent, isomorphism,
     min_forbidden_prefixes, minimize, parse_regex, product, restart,
     subset_construction, to_eps_nfa, union_all,
@@ -316,6 +317,51 @@ def test_min_forbidden_prefixes_errors():
                  m.accept)
     with pytest.raises(ValueError):
         min_forbidden_prefixes(padded, 8, _x_pattern())
+
+
+def test_min_forbidden_prefixes_matches_product_route():
+    # every state of the shipped DFA, then random machines: odd trials add
+    # states the start cannot reach, and trial % 3 makes the pattern accept
+    # everything, nothing or a random set
+    m = minimize(nandi_pattern_dfa())
+    cases = [(m, v, _x_pattern()) for v in range(m.num_states)]
+    rng = random.Random(577)
+    for trial in range(90):
+        alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
+        machine = _random_dfa(rng, alphabet, max_states=6)
+        if trial % 2:
+            n = machine.num_states
+            extra = rng.randint(1, 3)
+            rows = machine.transitions + tuple(
+                tuple(rng.randrange(n + extra) for _ in alphabet)
+                for _ in range(extra))
+            machine = Dfa(alphabet, rows, machine.start,
+                          machine.accept | {n + extra - 1})
+        pattern = _random_dfa(rng, alphabet, max_states=4)
+        every = frozenset(range(pattern.num_states))
+        pattern = Dfa(alphabet, pattern.transitions, pattern.start,
+                      [every, frozenset(), pattern.accept][trial % 3])
+        cases += [(machine, v, pattern) for v in range(machine.num_states)]
+    outcomes = {"ok": 0, "nonempty": 0, "accepting": 0, "unreachable": 0}
+    for machine, v, pattern in cases:
+        try:
+            want = min_forbidden_prefixes_by_products(machine, v, pattern)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=str(e)):
+                min_forbidden_prefixes(machine, v, pattern)
+            outcomes["accepting" if v in machine.accept else "unreachable"] += 1
+            continue
+        got = min_forbidden_prefixes(machine, v, pattern)
+        assert got == want, (machine, v, pattern)
+        outcomes["ok"] += 1
+        outcomes["nonempty"] += bool(got.accept)
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_min_forbidden_prefixes_alphabet_mismatch():
+    m = minimize(nandi_pattern_dfa())
+    with pytest.raises(AlphabetError):
+        min_forbidden_prefixes(m, 7, empty_dfa(("a",)))
 
 
 @pytest.mark.parametrize("state, prefixes", [

@@ -234,6 +234,17 @@ def test_spec_value_of_the_wrong_type_is_an_input_error(tmp_path, capsys, old,
     assert err.startswith("error: " + field)
 
 
+def test_pi_symbol_outside_the_alphabet_is_an_input_error(tmp_path, capsys):
+    # an extra pi entry, here also longer than m, used to be ignored
+    path = tmp_path / "bad.spec"
+    path.write_text(DIFF2_SPEC.replace("  1: [1]\n", "  1: [1]\n  7: [0, 0, 1]\n"),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "dfa", "--spec", str(path), "table")
+    assert code == 2
+    assert out == ""
+    assert err == "error: pi: symbol '7' is not in the alphabet\n"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -17,10 +17,12 @@ TARGETS = {"default": None, "class1": "3U4", "class2": "2U4U04",
            "class3": "2U3U4U04U1*03"}
 
 CASES = {"dfa-table": ["dfa", "table"],
-         "dfa-prefixes-q7": ["dfa", "prefixes", "q7"],
          "verify-all-order12": ["verify", "all", "--order", "12"],
          "verify-all-order12-structured": ["verify", "all", "--order", "12",
                                            "--format", "structured"]}
+# every non-accepting state of the shipped DFA (q6 is its accepting sink)
+for _v in (0, 1, 2, 3, 4, 5, 7):
+    CASES[f"dfa-prefixes-q{_v}"] = ["dfa", "prefixes", f"q{_v}"]
 for _name, _target in TARGETS.items():
     for _fmt in ("text", "structured"):
         CASES[f"derive-{_name}-{_fmt}"] = (

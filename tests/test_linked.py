@@ -1,12 +1,18 @@
 import dataclasses
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import (CLASS_PREFIXES, CLASS_STATE, GOLDEN_DFA_ACCEPT,
                       GOLDEN_DFA_TABLE, GOLDEN_SYSTEM_ROWS,
                       brute_partition_counts, encode_by_multiplicities,
-                      fixed_point_series, random_spec)
+                      fixed_point_series, random_spec,
+                      state_for_class_by_equivalence)
 from reglinked import linked
 from reglinked.automata import Dfa, Empty, Symbol, isomorphism, parse_regex
 from reglinked.linked import (
@@ -68,6 +74,46 @@ def test_spec_hash_is_cached_and_equal_parses_share_one_dfa():
     build_forbidden_dfa(with_prefix)
     info = build_forbidden_dfa.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+
+
+def test_spec_pickle_round_trip():
+    for spec in (nandi_spec(), random_spec(random.Random(5))):
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec and hash(back) == hash(spec)
+        assert back.pi_map == spec.pi_map
+        assert back._symbol_of_block == spec._symbol_of_block
+        assert back.trivial_symbol == spec.trivial_symbol
+
+
+_UNPICKLE_IN_CHILD = """
+import pickle, sys
+from reglinked import linked
+spec = pickle.loads(sys.stdin.buffer.read())
+fresh = linked.nandi_spec()
+linked.build_forbidden_dfa.cache_clear()
+linked.build_forbidden_dfa(fresh)
+linked.build_forbidden_dfa(spec)
+info = linked.build_forbidden_dfa.cache_info()
+print(spec == fresh, hash(spec) == hash(fresh), info.hits, info.misses,
+      hash("reglinked"))
+"""
+
+
+def test_spec_pickle_rebuilds_its_hash_under_another_hash_seed():
+    # the hash of a spec hashes strings, so it differs between processes
+    # with different string-hash seeds; an unpickled spec must not carry
+    # the hash of the process that pickled it
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = str(Path(linked.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", _UNPICKLE_IN_CHILD],
+                           input=pickle.dumps(nandi_spec()), env=env,
+                           capture_output=True, check=True)
+    equal, same_hash, hits, misses, seen = child.stdout.decode().split()
+    assert int(seen) != hash("reglinked")  # the seeds really differ
+    assert (equal, same_hash, hits, misses) == ("True", "True", "1", "1")
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +269,27 @@ def test_state_for_class_start_and_none():
     assert state_for_class(spec, spec.forbidden_prefixes) == 0
     # a prefix language matching no state
     assert state_for_class(spec, Symbol("0")) is None
+
+
+def test_state_for_class_matches_equivalence_route():
+    # targets: the empty language, or a union of short words, some starred
+    rng = random.Random(2718)
+    found = {True: 0, False: 0}
+    for _ in range(40):
+        spec = random_spec(rng)
+        for _ in range(6):
+            if rng.random() < 0.2:
+                target = Empty()
+            else:
+                words = ["".join(rng.choice(spec.alphabet)
+                                 for _ in range(rng.randint(1, 3)))
+                         + rng.choice(["", "", "*"])
+                         for _ in range(rng.randint(1, 3))]
+                target = parse_regex("U".join(words), spec.alphabet)
+            want = state_for_class_by_equivalence(spec, target)
+            assert state_for_class(spec, target) == want, (spec, target)
+            found[want is not None] += 1
+    assert min(found.values()) >= 40, found
 
 
 # ---------------------------------------------------------------------------

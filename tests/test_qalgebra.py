@@ -233,6 +233,20 @@ def test_product_series_drops_high_factors():
 def test_series_rendering():
     s = QSeries([1, 0, 1, 1, 2], 4)
     assert str(s) == "1 + q^2 + q^3 + 2*q^4"
+    assert str(QSeries.zero(3)) == "0"
+    assert str(QSeries([-3, 0, 1], 2)) == "-3 + q^2"
+    assert str(QSeries([0, -1, 0, -2], 3)) == "-q - 2*q^3"
+    assert str(QSeries([0, 1], 1)) == "q"
+    assert str(QSeries([0, 2], 1)) == "2*q"
+    assert str(QSeries([0, -1], 1)) == "-q"
+    assert str(QSeries([0, -2], 1)) == "-2*q"
+    assert str(QSeries([1, Fraction(-1, 2)], 1)) == "1 - 1/2*q"
+    # the x-free polynomial with the same coefficients renders the same
+    rng = random.Random(233)
+    for _ in range(60):
+        coeffs = [rng.choice([0, 0, 1, -1, 2, -7]) for _ in range(rng.randint(1, 8))]
+        poly = BiPoly({(0, j): c for j, c in enumerate(coeffs) if c})
+        assert str(QSeries(coeffs, len(coeffs) - 1)) == str(poly), coeffs
 
 
 # ---------------------------------------------------------------------------
