@@ -96,14 +96,15 @@ def cmd_derive(args, out):
     return 0
 
 
-def _check(out, fmt, label, ok, mismatch=None, details=""):
-    """Print one check line.  In structured form a failed check whose
-    routes give only a verdict shows first-mismatch: unknown."""
+def _check(out, fmt, label, mismatch, details=""):
+    """Print one check line.  mismatch is None for a pass, else the first
+    exponent where the routes differ, or "unknown" for a derivation that
+    raised."""
+    ok = mismatch is None
     verdict = "PASS" if ok else "FAIL"
     if fmt == "structured":
-        if mismatch is None:
-            mismatch = "none" if ok else "unknown"
-        print(f"check: {label} | {verdict} | first-mismatch: {mismatch}", file=out)
+        print(f"check: {label} | {verdict} | first-mismatch: "
+              f"{'none' if ok else mismatch}", file=out)
         return ok
     tail = f"  ({details})" if details else ""
     print(f"{verdict}  {label}{tail}", file=out)
@@ -112,7 +113,7 @@ def _check(out, fmt, label, ok, mismatch=None, details=""):
 
 def _check_agree(out, fmt, label, want, got):
     n = want.first_mismatch(got)
-    return _check(out, fmt, label, n is None, n,
+    return _check(out, fmt, label, n,
                   "" if n is None else f"first mismatch at q^{n}")
 
 
@@ -140,7 +141,7 @@ def _verify_class(out, fmt, a, order, counts, derived):
                        product, qseries.double_sum(a, order))
     label = f"class {a}: product vs derived equation at x=1"
     if isinstance(derived, Exception):
-        return ok & _check(out, fmt, label, False, details=str(derived))
+        return ok & _check(out, fmt, label, "unknown", str(derived))
     return ok & _check_agree(out, fmt, label, product, derived)
 
 
@@ -156,15 +157,15 @@ def cmd_verify(args, out):
         ok &= _verify_class(out, fmt, a, order, all_counts[a], derived[a])
     if args.which == "all":
         for bst in ((3, 0, 0), (1, 0, 1), (5, 1, 1)):
-            ok &= _check(out, fmt, f"single-sum/product identity {bst}",
-                         qseries.slater_check(bst, order))
+            ok &= _check_agree(out, fmt, f"single-sum/product identity {bst}",
+                               *qseries.slater_series(bst, order))
         for which, x in (("A", (1, 1)), ("A", (1, 2)), ("B", (1, 1)), ("B", (1, 2))):
-            ok &= _check(out, fmt,
-                         f"series-product identity ({which}) at x=q^{x[1]}",
-                         qseries.euler_check(which, x, order))
+            ok &= _check_agree(out, fmt,
+                               f"series-product identity ({which}) at x=q^{x[1]}",
+                               *qseries.euler_series(which, x, order))
         for a in classes:
-            ok &= _check(out, fmt, f"class {a}: single-sum route",
-                         qseries.remark_single_sum_check(a, order))
+            ok &= _check_agree(out, fmt, f"class {a}: single-sum route",
+                               *qseries.remark_single_sum_series(a, order))
     print("all checks passed" if ok else "verification FAILED", file=out)
     return 0 if ok else 1
 

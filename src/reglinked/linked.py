@@ -65,6 +65,9 @@ class LinkedSpec:
             raise SpecError("block length m must be >= 1")
         if not self.alphabet:
             raise SpecError("alphabet must be nonempty")
+        for i, s in enumerate(self.alphabet):
+            if s in self.alphabet[:i]:
+                raise SpecError(f"alphabet: symbol {s!r} is repeated")
         if tuple(s for s, _ in self.pi) != self.alphabet:
             raise SpecError("pi must list exactly the alphabet symbols, in order")
         symbol_of_block = {p.parts: s for s, p in self.pi}
@@ -107,8 +110,9 @@ def parse_spec_text(text: str) -> LinkedSpec:
 
     Fields: ``m`` (int), ``alphabet`` (list), ``pi`` (symbol -> length-<=m
     multiplicity list), ``forbidden_patterns`` / ``forbidden_prefixes``
-    (regex text; empty or missing means the empty language).  Purely
-    numeric regex strings must be quoted, or YAML reads them as numbers.
+    (regex text; empty, null or missing means the empty language).  Purely
+    numeric regex strings must be quoted: an unquoted value that YAML reads
+    as a number or a boolean is a SpecError.
     """
     try:
         doc = yaml.safe_load(text)
@@ -144,8 +148,11 @@ def parse_spec_text(text: str) -> LinkedSpec:
         pi.append((s, block))
 
     def rx(field):
-        text = doc.get(field) or ""
-        text = str(text).strip()
+        text = doc.get(field)
+        # an unquoted 0, 012 (octal) or false would be read as another regex
+        if text is not None and not isinstance(text, str):
+            raise SpecError(f"{field}: expected a quoted string, got {text!r}")
+        text = (text or "").strip()
         if not text:
             return Empty()
         try:

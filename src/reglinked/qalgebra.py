@@ -1,6 +1,9 @@
-"""Exact arithmetic kernel: bivariate integer polynomials in (x, q),
-reduced rational functions, a matrix container for them, and truncated
-q-series with exact rational coefficients.
+"""Exact arithmetic kernel: bivariate integer polynomials in (x, q), their
+gcd and exact division (one primitive pseudo-remainder sequence and one
+long division, each written once over a coefficient ring: Z for
+polynomials in q, Z[q] for polynomials in x), reduced rational functions,
+a matrix container for them, and truncated q-series with exact rational
+coefficients.
 
 No floating point anywhere.  Rational functions are kept in a canonical
 reduced form (gcd 1, denominator with positive leading coefficient in the
@@ -10,29 +13,22 @@ equality of functions.
 
 from __future__ import annotations
 
+import operator
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd as _int_gcd
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over Z (used internally for gcd computations)
+# dense polynomials, lowest degree first, over a coefficient ring: Z for
+# polynomials in q, Z[q] for x-profiles (used internally for gcds)
 # ---------------------------------------------------------------------------
 
 def _u_trim(a):
-    # also trims x-profiles (lists of q-coefficient lists): [] is falsy
+    # trims lists over either ring: 0 and [] are falsy
     while a and not a[-1]:
         a.pop()
     return a
-
-
-def _u_add(a, b):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _u_trim(out)
 
 
 def _u_neg(a):
@@ -40,7 +36,10 @@ def _u_neg(a):
 
 
 def _u_sub(a, b):
-    return _u_add(a, _u_neg(b))
+    out = a + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _u_trim(out)
 
 
 def _u_mul(a, b):
@@ -55,88 +54,98 @@ def _u_mul(a, b):
     return _u_trim(out)
 
 
-def _u_scale(a, k):
-    if k == 0:
-        return []
-    return [c * k for c in a]
+def _z_div(a, b):
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("inexact polynomial division")
+    return q
 
 
-def _u_content(a):
-    g = 0
-    for c in a:
-        g = _int_gcd(g, abs(c))
-        if g == 1:
-            break
-    return g
+# The coefficient ring's operations; ``last`` gives the integer that decides
+# an element's sign (over Z[q], its coefficient of the highest q-power).
+_Ring = namedtuple("_Ring", "zero one neg sub mul div gcd last")
 
 
-def _u_primitive(a):
-    g = _u_content(a)
-    if g <= 1:
-        return list(a), g
-    return [c // g for c in a], g
-
-
-def _u_pseudo_rem(a, b):
+def _pseudo_rem(a, b, ring):
     # premultiplied remainder of a by b; only used inside the primitive PRS
+    mul, sub = ring.mul, ring.sub
     r = list(a)
     db = len(b) - 1
     lb = b[-1]
-    while r and len(r) - 1 >= db:
+    while len(r) > db:
         lr = r[-1]
         dr = len(r) - 1
-        r = [lb * c for c in r]
+        r = [mul(c, lb) for c in r]
         for i, c in enumerate(b):
-            r[dr - db + i] -= lr * c
+            r[dr - db + i] = sub(r[dr - db + i], mul(c, lr))
         _u_trim(r)
     return r
 
 
-def _u_gcd(a, b):
-    a = _u_trim(list(a))
-    b = _u_trim(list(b))
-    if not a:
-        g = b
-    elif not b:
-        g = a
-    else:
-        pa, ca = _u_primitive(a)
-        pb, cb = _u_primitive(b)
-        while pb:
-            r = _u_pseudo_rem(pa, pb)
-            pa, pb = pb, _u_primitive(r)[0]
-        g = _u_scale(pa, _int_gcd(ca, cb))
-    g = list(g)
-    if g and g[-1] < 0:
-        g = _u_neg(g)
+def _content_split(a, ring):
+    """(content, primitive part) of a; the zero polynomial has content zero."""
+    gcd, one = ring.gcd, ring.one
+    g = ring.zero
+    for c in a:
+        g = gcd(g, c)
+        if g == one:
+            return g, a
+    if not g:
+        return g, a
+    div = ring.div
+    return g, [div(c, g) for c in a]
+
+
+def _prs_gcd(a, b, ring):
+    """gcd of two polynomials over ring by the primitive pseudo-remainder
+    sequence (Brown, J. ACM 18, 1971), with the last integer of its leading
+    coefficient positive.  Either input may be zero."""
+    ca, pa = _content_split(_u_trim(list(a)), ring)
+    cb, pb = _content_split(_u_trim(list(b)), ring)
+    if len(pa) < len(pb):
+        pa, pb = pb, pa
+    while pb:
+        pa, pb = pb, _content_split(_pseudo_rem(pa, pb, ring), ring)[1]
+    c = ring.gcd(ca, cb)
+    g = [ring.mul(e, c) for e in pa]
+    if g and ring.last(g[-1]) < 0:
+        g = [ring.neg(e) for e in g]
     return g
 
 
-def _u_div_exact(a, b):
-    """Quotient a/b when the division is exact; raises otherwise."""
-    a = _u_trim(list(a))
+def _long_div(a, b, ring):
+    """Quotient a/b over ring when the division is exact; raises
+    ArithmeticError otherwise and ZeroDivisionError when b is zero."""
+    r = _u_trim(list(a))
     b = _u_trim(list(b))
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return []
-    if len(a) < len(b):
-        raise ArithmeticError("inexact polynomial division")
-    q = [0] * (len(a) - len(b) + 1)
-    r = list(a)
+    mul, sub, div = ring.mul, ring.sub, ring.div
+    q = [ring.zero] * (len(r) - len(b) + 1)
     lb = b[-1]
     for k in range(len(q) - 1, -1, -1):
-        c = r[k + len(b) - 1]
-        if c % lb:
-            raise ArithmeticError("inexact polynomial division")
-        c //= lb
+        c = div(r[k + len(b) - 1], lb)
         q[k] = c
         if c:
             for i, d in enumerate(b):
-                r[k + i] -= c * d
+                r[k + i] = sub(r[k + i], mul(d, c))
     if any(r):
         raise ArithmeticError("inexact polynomial division")
     return _u_trim(q)
+
+
+def _u_gcd(a, b):
+    return _prs_gcd(a, b, _Z)
+
+
+def _u_div_exact(a, b):
+    return _long_div(a, b, _Z)
+
+
+_Z = _Ring(0, 1, operator.neg, operator.sub, operator.mul, _z_div, _int_gcd,
+           lambda c: c)
+_ZQ = _Ring([], [1], _u_neg, _u_sub, _u_mul, _u_div_exact, _u_gcd,
+            operator.itemgetter(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -362,100 +371,25 @@ def _render_q_poly(pairs):
 
 
 def _bipoly_from_profile(prof):
-    t = {}
-    for i, ql in enumerate(prof):
-        for j, c in enumerate(ql):
-            if c:
-                t[(i, j)] = c
-    return BiPoly(t)
-
-
-def _profile_content(prof):
-    g = []
-    for ql in prof:
-        g = _u_gcd(g, ql)
-        if g == [1]:
-            break
-    return g
-
-
-def _profile_primitive(prof):
-    g = _profile_content(prof)
-    if g == [1] or not g:
-        return prof
-    return [_u_div_exact(ql, g) for ql in prof]
-
-
-def _x_pseudo_rem(a, b):
-    # a, b: lists of q-coefficient lists; primitive PRS step in x
-    r = [list(ql) for ql in a]
-    db = len(b) - 1
-    lb = b[-1]
-    while r and len(r) - 1 >= db:
-        lr = r[-1]
-        dr = len(r) - 1
-        r = [_u_mul(ql, lb) for ql in r]
-        for i, ql in enumerate(b):
-            r[dr - db + i] = _u_sub(r[dr - db + i], _u_mul(ql, lr))
-        _u_trim(r)
-    return r
+    # the constructor drops the zero coefficients
+    return BiPoly({(i, j): c for i, ql in enumerate(prof) for j, c in enumerate(ql)})
 
 
 def bipoly_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
     """gcd in Z[x, q], sign-normalized so the leading coefficient is positive.
 
-    Computed as a univariate gcd in x over Z[q] with content/primitive-part
-    handling (primitive pseudo-remainder sequence).  Fast enough for the
-    shipped spec; on larger systems its intermediate integers grow without
-    bound and it dominates `triangularize` (some 9-state specs take over a
-    minute).
+    The same primitive pseudo-remainder sequence as the univariate gcd over
+    Z, run in x over the ring Z[q] on the two x-profiles.  Fast enough for
+    the shipped spec; on larger systems its intermediate integers grow
+    without bound and it dominates `triangularize` (some 9-state specs take
+    over a minute).
     """
-    if a.is_zero() and b.is_zero():
-        return BiPoly()
-    if a.is_zero():
-        g = b
-        return -g if g.leading_coefficient() < 0 else g
-    if b.is_zero():
-        g = a
-        return -g if a.leading_coefficient() < 0 else g
-    pa = _u_trim(a.x_profile())
-    pb = _u_trim(b.x_profile())
-    ca = _profile_content(pa)
-    cb = _profile_content(pb)
-    pa = _profile_primitive(pa)
-    pb = _profile_primitive(pb)
-    if len(pa) < len(pb):
-        pa, pb = pb, pa
-    while pb:
-        r = _x_pseudo_rem(pa, pb)
-        pa, pb = pb, _profile_primitive(_u_trim(r))
-    g = _bipoly_from_profile([_u_mul(ql, _u_gcd(ca, cb)) for ql in pa])
-    if g.leading_coefficient() < 0:
-        g = -g
-    return g
+    return _bipoly_from_profile(_prs_gcd(a.x_profile(), b.x_profile(), _ZQ))
 
 
 def bipoly_div_exact(a: BiPoly, b: BiPoly) -> BiPoly:
     """Exact quotient a/b in Z[x, q]; raises ArithmeticError if inexact."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if a.is_zero():
-        return BiPoly()
-    pa = _u_trim(a.x_profile())
-    pb = _u_trim(b.x_profile())
-    if len(pa) < len(pb):
-        raise ArithmeticError("inexact bivariate division")
-    out = [[] for _ in range(len(pa) - len(pb) + 1)]
-    lb = pb[-1]
-    for k in range(len(out) - 1, -1, -1):
-        c = _u_div_exact(pa[k + len(pb) - 1], lb)
-        out[k] = c
-        if c:
-            for i, ql in enumerate(pb):
-                pa[k + i] = _u_sub(pa[k + i], _u_mul(ql, c))
-    if any(ql for ql in pa):
-        raise ArithmeticError("inexact bivariate division")
-    return _bipoly_from_profile(out)
+    return _bipoly_from_profile(_long_div(a.x_profile(), b.x_profile(), _ZQ))
 
 
 def bipoly_lcm(a: BiPoly, b: BiPoly) -> BiPoly:

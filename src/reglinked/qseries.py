@@ -425,9 +425,9 @@ def double_sum(a: int, order: int) -> QSeries:
     return acc
 
 
-def euler_check(which: str, x_value, order: int) -> bool:
-    """Check one of the two classical series-product identities at a
-    monomial x = c*q^k (k >= 1, or c = 0)."""
+def euler_series(which: str, x_value, order: int):
+    """(sum side, product side) of one of the two classical series-product
+    identities at a monomial x = c*q^k (k >= 1, or c = 0)."""
     c, k = x_value
     if c and k < 1:
         raise ValueError("the substituted monomial needs a positive q-power")
@@ -446,6 +446,12 @@ def euler_check(which: str, x_value, order: int) -> bool:
         rhs = product_series(((c, k + j) for j in range(order + 1)), order)
     else:
         raise ValueError("which must be 'A' or 'B'")
+    return lhs, rhs
+
+
+def euler_check(which: str, x_value, order: int) -> bool:
+    """Whether the two series of `euler_series` agree."""
+    lhs, rhs = euler_series(which, x_value, order)
     return lhs == rhs
 
 
@@ -460,8 +466,8 @@ def _slater_sum(s: int, t: int, order: int) -> QSeries:
     return acc
 
 
-def slater_check(bst, order: int) -> bool:
-    """Single sum against the mod-28/mod-14 product, for (b, s, t) in
+def slater_series(bst, order: int):
+    """(single sum, mod-28/mod-14 product) for (b, s, t) in
     {(3,0,0), (1,0,1), (5,1,1)}."""
     b, s, t = bst
     lhs = _slater_sum(s, t, order)
@@ -471,12 +477,20 @@ def slater_check(bst, order: int) -> bool:
            * poch_inf(-1, 14 - 2 * b, 14, order)
            * poch_inf(-1, 14, 14, order)
            * (poch_inf(-1, b, 14, order) * poch_inf(-1, 14 - b, 14, order)).invert())
+    return lhs, rhs
+
+
+def slater_check(bst, order: int) -> bool:
+    """Whether the two series of `slater_series` agree."""
+    lhs, rhs = slater_series(bst, order)
     return lhs == rhs
 
 
-def remark_single_sum_check(a: int, order: int) -> bool:
+def remark_single_sum_series(a: int, order: int):
     """The alternate route: the double sum collapses to a single sum with a
-    (q;q^2)_inf prefactor, which in turn equals a mod-7/mod-14 product."""
+    (q;q^2)_inf prefactor, which in turn equals a mod-7/mod-14 product.
+    Returns the two series of the first of these two steps that disagree,
+    or of the second when both agree."""
     s, t = CLASS_ST[a]
     single = QSeries.zero(order)
     for i in range(order + 2):
@@ -485,14 +499,19 @@ def remark_single_sum_check(a: int, order: int) -> bool:
             break
         den = poch_finite(-1, 1, 1, i, order) * poch_finite(-1, 1, 2, i + t, order)
         single = single + QSeries.monomial(1, e, order) * den.invert()
-    lhs1 = double_sum(a, order)
-    rhs1 = poch_inf(-1, 1, 2, order) * single
-    if lhs1 != rhs1:
-        return False
+    lhs, rhs = double_sum(a, order), poch_inf(-1, 1, 2, order) * single
+    if lhs != rhs:
+        return lhs, rhs
     prod = (poch_inf(-1, a, 7, order)
             * poch_inf(-1, 7 - a, 7, order)
             * poch_inf(-1, 7, 7, order)
             * poch_inf(-1, 7 - 2 * a, 14, order)
             * poch_inf(-1, 7 + 2 * a, 14, order)
             * (poch_inf(-1, 1, 1, order) * poch_inf(-1, 1, 2, order)).invert())
-    return single == prod
+    return single, prod
+
+
+def remark_single_sum_check(a: int, order: int) -> bool:
+    """Whether the two series of `remark_single_sum_series` agree."""
+    lhs, rhs = remark_single_sum_series(a, order)
+    return lhs == rhs

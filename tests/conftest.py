@@ -1,9 +1,12 @@
 """Shared golden data and independent oracles for the test suite."""
 
+import math
+
 import pytest
 
 from reglinked.qalgebra import (BiPoly, Q as q, QSeries, RationalFunction,
-                                RfMatrix, X as x)
+                                RfMatrix, X as x, _bipoly_from_profile,
+                                _u_mul, _u_neg, _u_sub, _u_trim)
 
 ONE = BiPoly.const(1)
 
@@ -470,6 +473,168 @@ def table_filling_minimize(m):
         rows.append(row)
     return Dfa(m.alphabet, rows, 0,
                {number[c] for c in queue if accept[c]})
+
+
+# ---------------------------------------------------------------------------
+# gcd references: the primitive pseudo-remainder sequence written out twice,
+# once over Z and once in x over Z[q]
+# ---------------------------------------------------------------------------
+
+def _u_content(a):
+    g = 0
+    for c in a:
+        g = math.gcd(g, abs(c))
+        if g == 1:
+            break
+    return g
+
+
+def _u_primitive(a):
+    g = _u_content(a)
+    if g <= 1:
+        return list(a), g
+    return [c // g for c in a], g
+
+
+def _u_pseudo_rem(a, b):
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    while r and len(r) - 1 >= db:
+        lr = r[-1]
+        dr = len(r) - 1
+        r = [lb * c for c in r]
+        for i, c in enumerate(b):
+            r[dr - db + i] -= lr * c
+        _u_trim(r)
+    return r
+
+
+def u_gcd_by_prs(a, b):
+    """gcd in Z[q] of two dense coefficient lists, leading coefficient
+    positive, by the primitive pseudo-remainder sequence over Z."""
+    a = _u_trim(list(a))
+    b = _u_trim(list(b))
+    if not a:
+        g = b
+    elif not b:
+        g = a
+    else:
+        pa, ca = _u_primitive(a)
+        pb, cb = _u_primitive(b)
+        while pb:
+            r = _u_pseudo_rem(pa, pb)
+            pa, pb = pb, _u_primitive(r)[0]
+        g = [c * math.gcd(ca, cb) for c in pa]
+    g = list(g)
+    if g and g[-1] < 0:
+        g = _u_neg(g)
+    return g
+
+
+def u_div_exact_by_long_division(a, b):
+    """Quotient a/b in Z[q] when the division is exact; raises otherwise."""
+    a = _u_trim(list(a))
+    b = _u_trim(list(b))
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not a:
+        return []
+    if len(a) < len(b):
+        raise ArithmeticError("inexact polynomial division")
+    q = [0] * (len(a) - len(b) + 1)
+    r = list(a)
+    lb = b[-1]
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + len(b) - 1]
+        if c % lb:
+            raise ArithmeticError("inexact polynomial division")
+        c //= lb
+        q[k] = c
+        if c:
+            for i, d in enumerate(b):
+                r[k + i] -= c * d
+    if any(r):
+        raise ArithmeticError("inexact polynomial division")
+    return _u_trim(q)
+
+
+def _profile_content(prof):
+    g = []
+    for ql in prof:
+        g = u_gcd_by_prs(g, ql)
+        if g == [1]:
+            break
+    return g
+
+
+def _profile_primitive(prof):
+    g = _profile_content(prof)
+    if g == [1] or not g:
+        return prof
+    return [u_div_exact_by_long_division(ql, g) for ql in prof]
+
+
+def _x_pseudo_rem(a, b):
+    r = [list(ql) for ql in a]
+    db = len(b) - 1
+    lb = b[-1]
+    while r and len(r) - 1 >= db:
+        lr = r[-1]
+        dr = len(r) - 1
+        r = [_u_mul(ql, lb) for ql in r]
+        for i, ql in enumerate(b):
+            r[dr - db + i] = _u_sub(r[dr - db + i], _u_mul(ql, lr))
+        _u_trim(r)
+    return r
+
+
+def bipoly_gcd_by_profiles(a, b):
+    """gcd in Z[x, q], leading coefficient positive, as a gcd in x over
+    Z[q]: the primitive pseudo-remainder sequence on the x-profiles with
+    their contents taken apart by u_gcd_by_prs."""
+    if a.is_zero() and b.is_zero():
+        return BiPoly()
+    if a.is_zero() or b.is_zero():
+        g = b if a.is_zero() else a
+        return -g if g.leading_coefficient() < 0 else g
+    pa = _u_trim(a.x_profile())
+    pb = _u_trim(b.x_profile())
+    ca = _profile_content(pa)
+    cb = _profile_content(pb)
+    pa = _profile_primitive(pa)
+    pb = _profile_primitive(pb)
+    if len(pa) < len(pb):
+        pa, pb = pb, pa
+    while pb:
+        r = _x_pseudo_rem(pa, pb)
+        pa, pb = pb, _profile_primitive(_u_trim(r))
+    g = _bipoly_from_profile([_u_mul(ql, u_gcd_by_prs(ca, cb)) for ql in pa])
+    return -g if g.leading_coefficient() < 0 else g
+
+
+def bipoly_div_exact_by_profiles(a, b):
+    """Exact quotient a/b in Z[x, q] by long division in x with
+    coefficients in Z[q]; raises ArithmeticError if inexact."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    if a.is_zero():
+        return BiPoly()
+    pa = _u_trim(a.x_profile())
+    pb = _u_trim(b.x_profile())
+    if len(pa) < len(pb):
+        raise ArithmeticError("inexact bivariate division")
+    out = [[] for _ in range(len(pa) - len(pb) + 1)]
+    lb = pb[-1]
+    for k in range(len(out) - 1, -1, -1):
+        c = u_div_exact_by_long_division(pa[k + len(pb) - 1], lb)
+        out[k] = c
+        if c:
+            for i, ql in enumerate(pb):
+                pa[k + i] = _u_sub(pa[k + i], _u_mul(ql, c))
+    if any(ql for ql in pa):
+        raise ArithmeticError("inexact bivariate division")
+    return _bipoly_from_profile(out)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import pytest
 
+from reglinked import qseries
 from reglinked.automata import dfa_from_text
 from reglinked.cli import main
 from reglinked.linked import build_forbidden_dfa, nandi_spec, nandi_spec_path
@@ -158,6 +159,33 @@ def test_verify_structured_names_the_first_mismatch(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("family, key, label", [
+    ("slater_series", ((1, 0, 1),), "single-sum/product identity (1, 0, 1)"),
+    ("euler_series", ("B", (1, 1)), "series-product identity (B) at x=q^1"),
+    ("remark_single_sum_series", (3,), "class 3: single-sum route"),
+], ids=["slater", "euler", "remark"])
+def test_verify_identity_checks_name_their_first_mismatch(monkeypatch, capsys,
+                                                          family, key, label):
+    # these checks used to give only a verdict: first-mismatch: unknown
+    real = getattr(qseries, family)
+
+    def corrupted(*args):
+        lhs, rhs = real(*args)
+        if args[:-1] == key:  # the last argument is the order
+            rhs = rhs + qseries.QSeries.monomial(1, 7, rhs.order)
+        return lhs, rhs
+
+    monkeypatch.setattr(qseries, family, corrupted)
+    code, out, _ = run(capsys, "verify", "all", "--order", "12", "--format",
+                       "structured")
+    assert code == 1
+    fails = [line for line in out.splitlines() if "PASS" not in line]
+    assert fails == [f"check: {label} | FAIL | first-mismatch: 7",
+                     "verification FAILED"]
+    code, out, _ = run(capsys, "verify", "all", "--order", "12")
+    assert f"FAIL  {label}  (first mismatch at q^7)" in out.splitlines()
+
+
 def test_verify_spec_without_the_class_targets_is_an_input_error(tmp_path, capsys):
     # the difference-2 spec has no symbol 3 for class 1's target 3U4, and
     # with the patterns "44" no state has that target's prefix language
@@ -243,6 +271,38 @@ def test_pi_symbol_outside_the_alphabet_is_an_input_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: pi: symbol '7' is not in the alphabet\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("forbidden_patterns: 0", "forbidden_patterns: expected a quoted string, got 0"),
+    ("forbidden_patterns: 012", "forbidden_patterns: expected a quoted string, got 10"),
+    ("forbidden_patterns: 1_0", "forbidden_patterns: expected a quoted string, got 10"),
+    ("forbidden_patterns: false",
+     "forbidden_patterns: expected a quoted string, got False"),
+    ('forbidden_patterns: "11U101"\nforbidden_prefixes: 1',
+     "forbidden_prefixes: expected a quoted string, got 1"),
+], ids=["zero", "octal", "underscore", "false", "prefixes"])
+def test_unquoted_regex_field_is_an_input_error(tmp_path, capsys, line, message):
+    # YAML reads these as numbers or booleans: 0 and false used to give the
+    # empty language, 012 (octal) and 1_0 the regex 10
+    path = tmp_path / "bad.spec"
+    path.write_text(DIFF2_SPEC.replace('forbidden_patterns: "11U101"', line),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "dfa", "--spec", str(path), "table")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_repeated_alphabet_symbol_is_an_input_error(tmp_path, capsys):
+    # used to be reported as "pi must be injective"
+    path = tmp_path / "bad.spec"
+    path.write_text(DIFF2_SPEC.replace("alphabet: [0, 1]", "alphabet: [0, 1, 1]"),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "dfa", "--spec", str(path), "table")
+    assert code == 2
+    assert out == ""
+    assert err == "error: alphabet: symbol '1' is repeated\n"
 
 
 def test_usage_error_exit_code(capsys):

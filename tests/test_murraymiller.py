@@ -3,8 +3,9 @@ import random
 import pytest
 
 from conftest import (CLASS_STATE, GOLDEN_EQUATION, GOLDEN_P5, NO_SWAP_ORDER,
-                      mat_inverse_T, mat_mul, mat_shift_x, random_spec,
-                      triangularize_by_products)
+                      bipoly_gcd_by_profiles, mat_inverse_T, mat_mul,
+                      mat_shift_x, random_spec, triangularize_by_products)
+from reglinked import murraymiller, qalgebra
 from reglinked.linked import (QDifferenceSystem, derive_system,
                               parse_spec_text, series_from_system)
 from reglinked.murraymiller import (
@@ -13,6 +14,21 @@ from reglinked.murraymiller import (
 )
 from reglinked.qalgebra import Q as q, RationalFunction, RfMatrix, X as x
 from reglinked.qseries import equation_residual
+
+
+@pytest.fixture(autouse=True)
+def gcd_matches_two_copy_reference(monkeypatch):
+    """Every gcd this module's derivations take, in reduced rational
+    functions, lcms or normalize_equation, must equal the reference's."""
+    kernel = qalgebra.bipoly_gcd
+
+    def checked(a, b):
+        got = kernel(a, b)
+        assert got == bipoly_gcd_by_profiles(a, b), (a, b)
+        return got
+
+    monkeypatch.setattr(qalgebra, "bipoly_gcd", checked)
+    monkeypatch.setattr(murraymiller, "bipoly_gcd", checked)
 
 
 def golden_equation(a):

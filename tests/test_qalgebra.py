@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mat_identity, mat_inverse_T, mat_mul, rf_q_expand
+from conftest import (bipoly_div_exact_by_profiles, bipoly_gcd_by_profiles,
+                      mat_identity, mat_inverse_T, mat_mul, rf_q_expand,
+                      u_div_exact_by_long_division, u_gcd_by_prs)
 from reglinked.qalgebra import (
     BiPoly, Q as q, QSeries, RationalFunction, RfMatrix, X as x,
-    ExpressionSyntaxError, bipoly_div_exact, bipoly_gcd, parse_rational,
-    poch_finite, poch_inf, pochhammer_inverse, product_series,
+    ExpressionSyntaxError, _u_div_exact, _u_gcd, _u_mul, _u_trim,
+    bipoly_div_exact, bipoly_gcd, parse_rational, poch_finite, poch_inf,
+    pochhammer_inverse, product_series,
 )
 
 
@@ -60,6 +63,70 @@ def test_gcd_and_exact_division():
     assert bipoly_div_exact(a, g) == 3 * (x + q)
     with pytest.raises(ArithmeticError):
         bipoly_div_exact(x**2 + q, x + 1)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ArithmeticError as e:  # ZeroDivisionError included
+        return type(e)
+
+
+def _random_q_list(rng):
+    # zero, a constant, or a dense Z[q] list of either leading sign
+    return _u_trim([rng.randint(-4, 4) for _ in range(rng.choice((0, 1, 3, 5)))])
+
+
+def _random_bipoly(rng):
+    shape = rng.randrange(5)
+    if shape == 0:
+        return BiPoly()
+    if shape == 1:
+        return BiPoly.const(rng.choice((-6, -1, 1, 2, 4)))
+    dx = 0 if shape == 2 else rng.randint(1, 3)  # shape 2: x-free
+    return BiPoly({(i, j): rng.randint(-3, 3)
+                   for i in range(dx + 1) for j in range(rng.randint(1, 4))})
+
+
+def _check_against_reference(pairs, gcd, gcd_ref, div, div_ref, mul):
+    seen = set()
+    for a, b in pairs:
+        g = gcd(a, b)
+        assert g == gcd_ref(a, b), (a, b)
+        # an exact quotient, a usually inexact one, and a zero divisor when
+        # both inputs are zero
+        for num, den in ((a, g), (mul(a, b), b), (a, b)):
+            got = _outcome(div, num, den)
+            assert got == _outcome(div_ref, num, den), (num, den)
+            seen.add(got if isinstance(got, type) else "quotient")
+    assert seen == {"quotient", ArithmeticError, ZeroDivisionError}
+
+
+def test_u_gcd_and_division_match_two_copy_reference():
+    rng = random.Random(20)
+    pairs = []
+    for _ in range(1500):
+        a, b = _random_q_list(rng), _random_q_list(rng)
+        if rng.random() < 0.4:
+            c = _random_q_list(rng)
+            a, b = _u_mul(a, c), _u_mul(b, c)
+        pairs.append((a, b))
+    _check_against_reference(pairs, _u_gcd, u_gcd_by_prs, _u_div_exact,
+                             u_div_exact_by_long_division, _u_mul)
+
+
+def test_bipoly_gcd_and_division_match_two_copy_reference():
+    rng = random.Random(21)
+    pairs = []
+    for _ in range(1500):
+        a, b = _random_bipoly(rng), _random_bipoly(rng)
+        if rng.random() < 0.4:
+            c = _random_bipoly(rng)
+            a, b = a * c, b * c
+        pairs.append((a, b))
+    _check_against_reference(pairs, bipoly_gcd, bipoly_gcd_by_profiles,
+                             bipoly_div_exact, bipoly_div_exact_by_profiles,
+                             lambda a, b: a * b)
 
 
 def test_shift_x_examples():

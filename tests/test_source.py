@@ -1,0 +1,35 @@
+"""Checks on the library's source text."""
+
+import ast
+from pathlib import Path
+
+import reglinked
+
+SRC = Path(reglinked.__file__).parent
+
+
+def test_no_dead_private_helpers():
+    """Every private module-level function or class, and every private
+    (non-dunder) method, is named somewhere in the library besides its own
+    definition."""
+    defined = []
+    named = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined.extend((path.name, f.name) for f in node.body
+                               if isinstance(f, ast.FunctionDef)
+                               and not f.name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    dead = [f"{mod}:{name}" for mod, name in defined
+            if name.startswith("_") and name not in named]
+    assert dead == []
