@@ -20,9 +20,8 @@ from .qalgebra import (
     poch_finite, poch_inf, pochhammer_inverse,
 )
 from .automata import (
-    Dfa, EpsNfa, Regex, complement, dfa_from_regex, equivalent, isomorphism,
+    Dfa, Regex, complement, dfa_from_regex, equivalent, isomorphism,
     min_forbidden_prefixes, minimize, parse_regex, product, restart,
-    subset_construction, to_eps_nfa,
 )
 from .linked import (
     LinkedSpec, LpiData, QDifferenceSystem, build_forbidden_dfa, decode,

@@ -1,7 +1,7 @@
-"""Regular expressions, epsilon-NFAs and DFAs over finite alphabets.
+"""Regular expressions and DFAs over finite alphabets.
 
-Supports regexes with union, concatenation and star through their
-epsilon-NFAs, subset construction, product and complement of DFAs,
+Supports regexes with union, concatenation and star, turned into DFAs
+through their Antimirov partial derivatives; product and complement of DFAs,
 minimization by Moore partition refinement with a canonical breadth-first
 state numbering, language equivalence, and minimal forbidden-prefix
 languages for restarted machines, read off one product walk.
@@ -221,118 +221,6 @@ def parse_regex(text: str, alphabet) -> Regex:
 
 
 # ---------------------------------------------------------------------------
-# epsilon-NFAs
-# ---------------------------------------------------------------------------
-
-class EpsNfa:
-    """Nondeterministic automaton with epsilon moves.
-
-    transitions maps (state, symbol) and (state, None) for epsilon to
-    frozensets of successor states.
-    """
-
-    __slots__ = ("alphabet", "n_states", "transitions", "start", "accept")
-
-    def __init__(self, alphabet, n_states, transitions, start, accept):
-        self.alphabet = tuple(alphabet)
-        self.n_states = n_states
-        self.transitions = {k: frozenset(v) for k, v in transitions.items() if v}
-        self.start = start
-        self.accept = frozenset(accept)
-        for (s, a), targets in self.transitions.items():
-            if not (0 <= s < n_states) or any(not 0 <= t < n_states for t in targets):
-                raise ValueError("transition endpoints outside the state set")
-            if a is not None and a not in self.alphabet:
-                raise AlphabetError(f"transition on unknown symbol {a!r}")
-        if not 0 <= start < n_states or any(not 0 <= f < n_states for f in self.accept):
-            raise ValueError("start/accept outside the state set")
-
-    def moves(self, state, symbol):
-        return self.transitions.get((state, symbol), frozenset())
-
-    def eps_closure(self, states):
-        seen = set(states)
-        stack = list(states)
-        while stack:
-            s = stack.pop()
-            for t in self.moves(s, None):
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return frozenset(seen)
-
-    def accepts(self, word):
-        cur = self.eps_closure({self.start})
-        for a in word:
-            nxt = set()
-            for s in cur:
-                nxt |= self.moves(s, a)
-            cur = self.eps_closure(nxt)
-        return bool(cur & self.accept)
-
-
-class _NfaBuilder:
-    def __init__(self, alphabet):
-        self.alphabet = tuple(alphabet)
-        self.count = 0
-        self.trans = {}
-
-    def state(self):
-        s = self.count
-        self.count += 1
-        return s
-
-    def edge(self, src, sym, dst):
-        self.trans.setdefault((src, sym), set()).add(dst)
-
-
-def to_eps_nfa(r: Regex, alphabet) -> EpsNfa:
-    """Compositional automaton for a regex: concatenation links old accept
-    states to the next start by epsilon moves; star adds a fresh accepting
-    start looping back into the body."""
-    alphabet = tuple(str(s) for s in alphabet)
-    for s in regex_symbols(r):
-        if s not in alphabet:
-            raise AlphabetError(f"regex symbol {s!r} not in the alphabet")
-    b = _NfaBuilder(alphabet)
-
-    def build(node):
-        if isinstance(node, Empty):
-            return b.state(), frozenset()
-        if isinstance(node, Epsilon):
-            s = b.state()
-            return s, frozenset([s])
-        if isinstance(node, Symbol):
-            s, t = b.state(), b.state()
-            b.edge(s, node.name, t)
-            return s, frozenset([t])
-        if isinstance(node, Union):
-            s = b.state()
-            s1, f1 = build(node.left)
-            s2, f2 = build(node.right)
-            b.edge(s, None, s1)
-            b.edge(s, None, s2)
-            return s, f1 | f2
-        if isinstance(node, Concat):
-            s1, f1 = build(node.left)
-            s2, f2 = build(node.right)
-            for f in f1:
-                b.edge(f, None, s2)
-            return s1, f2
-        if isinstance(node, Star):
-            s = b.state()
-            s1, f1 = build(node.inner)
-            b.edge(s, None, s1)
-            for f in f1:
-                b.edge(f, None, s1)
-            return s, f1 | frozenset([s])
-        raise TypeError(f"not a Regex node: {node!r}")
-
-    start, accept = build(r)
-    return EpsNfa(alphabet, b.count, b.trans, start, accept)
-
-
-# ---------------------------------------------------------------------------
 # DFAs
 # ---------------------------------------------------------------------------
 
@@ -437,24 +325,54 @@ def _renumber_bfs(alphabet, trans_map, start, accept_pred):
     return Dfa(alphabet, rows, 0, accept)
 
 
-def subset_construction(nfa: EpsNfa) -> Dfa:
-    """Equivalent DFA; only the subsets reachable from the start closure
-    are materialized."""
-    def successors(cur):
-        out = []
-        for a in nfa.alphabet:
-            nxt = set()
-            for s in cur:
-                nxt |= nfa.moves(s, a)
-            out.append(nfa.eps_closure(nxt))
-        return out
-
-    return _renumber_bfs(nfa.alphabet, successors, nfa.eps_closure({nfa.start}),
-                         lambda sub: bool(sub & nfa.accept))
+def _partial_derivatives(r: Regex, a):
+    """Antimirov's partial derivatives of r by the symbol a: a set of
+    regexes whose languages together are {w : a w in L(r)}."""
+    if isinstance(r, Symbol):
+        return frozenset([Epsilon()]) if r.name == a else frozenset()
+    if isinstance(r, Union):
+        return _partial_derivatives(r.left, a) | _partial_derivatives(r.right, a)
+    if isinstance(r, Concat):
+        out = {r.right if isinstance(d, Epsilon) else Concat(d, r.right)
+               for d in _partial_derivatives(r.left, a)}
+        if nullable(r.left):
+            out |= _partial_derivatives(r.right, a)
+        return frozenset(out)
+    if isinstance(r, Star):
+        return frozenset(r if isinstance(d, Epsilon) else Concat(d, r)
+                         for d in _partial_derivatives(r.inner, a))
+    if isinstance(r, (Empty, Epsilon)):
+        return frozenset()
+    raise TypeError(f"not a Regex node: {r!r}")
 
 
 def dfa_from_regex(r: Regex, alphabet) -> Dfa:
-    return minimize(subset_construction(to_eps_nfa(r, alphabet)))
+    """Minimal DFA of a regex.
+
+    The states of the walk are sets of partial derivatives of r, starting
+    from {r}; a set accepts when one of its members is nullable.  The
+    derivatives of r are finitely many (Antimirov, TCS 155, 1996), so the
+    walk ends; minimize then gives the canonical minimal machine.
+    """
+    alphabet = tuple(str(s) for s in alphabet)
+    for s in regex_symbols(r):
+        if s not in alphabet:
+            raise AlphabetError(f"regex symbol {s!r} not in the alphabet")
+    memo = {}  # (term, symbol) -> its partial derivatives, for this call only
+
+    def successors(terms):
+        out = []
+        for a in alphabet:
+            nxt = set()
+            for t in terms:
+                if (t, a) not in memo:
+                    memo[t, a] = _partial_derivatives(t, a)
+                nxt |= memo[t, a]
+            out.append(frozenset(nxt))
+        return out
+
+    return minimize(_renumber_bfs(alphabet, successors, frozenset([r]),
+                                  lambda terms: any(map(nullable, terms))))
 
 
 def product(m1: Dfa, m2: Dfa, op) -> Dfa:

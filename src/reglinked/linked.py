@@ -254,12 +254,19 @@ def build_forbidden_dfa(spec: LinkedSpec) -> Dfa:
 @dataclass(frozen=True)
 class QDifferenceSystem:
     """Coupled system F_v(x) = sum_u A[v][u] F_u(x q^m) over the non-accepting
-    states; entries are polynomial weights sum_a x^len(pi_a) q^|pi_a|."""
+    states; entries are polynomial weights sum_a x^len(pi_a) q^|pi_a|.
+    seed[i] is 1 when the empty partition belongs to the class of state
+    labels[i], else 0: the constant term of that state's series."""
 
     step: int
     labels: tuple[int, ...]
     matrix: RfMatrix
     start: int
+    seed: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.seed) != len(self.labels) or set(self.seed) - {0, 1}:
+            raise ValueError("seed must hold a 0 or 1 per label")
 
     def row_of(self, label):
         return self.labels.index(label)
@@ -279,7 +286,9 @@ def derive_system(spec: LinkedSpec) -> QDifferenceSystem:
                 continue
             row[col[u]] = row[col[u]] + weights[s]
         rows.append([RationalFunction(e) for e in row])
-    return QDifferenceSystem(spec.m, labels, RfMatrix(rows), dfa.start)
+    seed = tuple(int(spec.trivial_symbol is not None and member(EMPTY, spec, v))
+                 for v in labels)
+    return QDifferenceSystem(spec.m, labels, RfMatrix(rows), dfa.start, seed)
 
 
 def state_for_class(spec: LinkedSpec, extra_prefixes: Regex):
@@ -313,34 +322,6 @@ def _system_monomials(sys: QDifferenceSystem):
     return mono
 
 
-def _trivial_successors(mono):
-    """Per state, the unique successor reached by a weight-1 transition."""
-    n = len(mono)
-    succ = [None] * n
-    for v in range(n):
-        for u in range(n):
-            c00 = sum(c for c, i, j in mono[v][u] if i == 0 and j == 0)
-            if c00 == 0:
-                continue
-            if c00 != 1 or succ[v] is not None:
-                raise ValueError("system is not of automaton shape: "
-                                 "multiple weight-1 transitions from one state")
-            succ[v] = u
-    return succ
-
-
-def _empty_word_survives(succ):
-    """survive[v] = 1 iff the all-trivial tail from v never dies: |Q| steps
-    that never die visit some state twice, so the walk then cycles."""
-    def survives(v):
-        for _ in range(len(succ)):
-            v = succ[v]
-            if v is None:
-                return 0
-        return 1
-    return [survives(v) for v in range(len(succ))]
-
-
 def series_from_system(sys: QDifferenceSystem, state, order: int, x_value=1):
     """Coefficients of the generating function attached to one state.
 
@@ -349,9 +330,8 @@ def series_from_system(sys: QDifferenceSystem, state, order: int, x_value=1):
     F_u to the coefficient of x^(i+dx) q^(n+m*i+dq) in F_v.  That key comes
     strictly after (n, i) in (q-degree, x-degree) order, except for the
     trivial symbol (dx = dq = 0) acting on the constant term, which is
-    seeded from the trivial-symbol tail instead: the empty partition
-    belongs to the class iff that tail survives.  One pass over the keys
-    in that order therefore finishes every coefficient before it is read.
+    seeded from sys.seed instead.  One pass over the keys in that order
+    therefore finishes every coefficient before it is read.
     A system in which any other key feeds its own (q, x)-degree has no
     automaton behind it and raises ValueError.  With x_value=1 the result
     is a QSeries; with x_value="symbolic" the list of x-coefficients, each
@@ -362,7 +342,6 @@ def series_from_system(sys: QDifferenceSystem, state, order: int, x_value=1):
     if x_value not in (1, "symbolic"):
         raise ValueError("x_value must be 1 or 'symbolic'")
     mono = _system_monomials(sys)
-    survive = _empty_word_survives(_trivial_successors(mono))
     m = sys.step
     n = len(sys.labels)
     readers = [[] for _ in range(n)]  # readers[u]: the terms that read F_u
@@ -370,7 +349,7 @@ def series_from_system(sys: QDifferenceSystem, state, order: int, x_value=1):
         for u, terms in enumerate(row):
             readers[u].extend((v, c, dx, dq) for c, dx, dq in terms)
     # (q-degree, x-degree) -> that coefficient of F_v for every state v
-    coeffs = {(0, 0): list(survive)}
+    coeffs = {(0, 0): list(sys.seed)}
     keys = [(0, 0)]
     while keys:
         key = heapq.heappop(keys)

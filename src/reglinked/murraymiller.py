@@ -50,13 +50,14 @@ class QDifferenceEquation:
 
 
 def reorder(sys: QDifferenceSystem, order) -> QDifferenceSystem:
-    """Simultaneous row/column permutation to the given label order."""
+    """Simultaneous row, column and seed permutation to the given order."""
     order = tuple(order)
     if sorted(order) != sorted(sys.labels):
         raise ValueError("order must be a permutation of the system labels")
     pos = {lab: sys.labels.index(lab) for lab in order}
     rows = [[sys.matrix[pos[r], pos[c]] for c in order] for r in order]
-    return QDifferenceSystem(sys.step, order, RfMatrix(rows), sys.start)
+    return QDifferenceSystem(sys.step, order, RfMatrix(rows), sys.start,
+                             tuple(sys.seed[pos[lab]] for lab in order))
 
 
 def reorder_first(sys: QDifferenceSystem, target) -> QDifferenceSystem:

@@ -211,19 +211,16 @@ class BiPoly:
             return 0
         return self.terms[max(self.terms)]
 
-    def coefficient_in_x(self, i):
-        """Dense q-coefficient list of x^i."""
-        out = []
-        for (a, b), c in self.terms.items():
-            if a == i:
-                if b >= len(out):
-                    out.extend([0] * (b + 1 - len(out)))
-                out[b] = c
-        return _u_trim(out)
-
     def x_profile(self):
-        """List of dense q-coefficient lists indexed by x-degree."""
-        return [self.coefficient_in_x(i) for i in range(self.degree_x() + 1)]
+        """List of dense q-coefficient lists indexed by x-degree, built in
+        one pass over the terms; each list ends in a nonzero coefficient."""
+        prof = [[] for _ in range(self.degree_x() + 1)]
+        for (i, j), c in self.terms.items():
+            ql = prof[i]
+            if j >= len(ql):
+                ql.extend([0] * (j + 1 - len(ql)))
+            ql[j] = c
+        return prof
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -803,14 +800,9 @@ def rf_x_coefficient_series(rf: RationalFunction, order: int) -> dict:
     each expanded as a QSeries (denominator constant term must be a unit)."""
     if rf.den.degree_x():
         raise ValueError("denominator involves x; not expandable per x-degree")
-    den = QSeries(rf.den.coefficient_in_x(0), order)
-    dinv = den.invert()
-    out = {}
-    for i in range(rf.num.degree_x() + 1):
-        ql = rf.num.coefficient_in_x(i)
-        if ql:
-            out[i] = QSeries(ql, order) * dinv
-    return out
+    dinv = QSeries(rf.den.x_profile()[0], order).invert()
+    return {i: QSeries(ql, order) * dinv
+            for i, ql in enumerate(rf.num.x_profile()) if ql}
 
 
 # ---------------------------------------------------------------------------

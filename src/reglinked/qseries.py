@@ -316,14 +316,15 @@ def h_equation(r_coeffs, s: int, step: int):
     to the deepest tap, and converts back to an x-form; the overall q-power
     is scaled to clear negative exponents.
     """
-    D = max(c.num.degree_x() for c in r_coeffs)
+    if not all(r.is_polynomial() for r in r_coeffs):
+        raise ValueError("G-equation coefficients must be polynomial")
+    profiles = [r.num.x_profile() for r in r_coeffs]
+    D = max(len(prof) for prof in profiles) - 1
     taps = []  # per d: dict (z_exp, q_exp) -> int, q_exp may be negative
     for d in range(D + 1):
         acc = {}
-        for i, r in enumerate(r_coeffs):
-            if not r.is_polynomial():
-                raise ValueError("G-equation coefficients must be polynomial")
-            for j, c in enumerate(r.num.coefficient_in_x(d)):
+        for i, prof in enumerate(profiles):
+            for j, c in enumerate(prof[d] if d < len(prof) else ()):
                 key = (step * i, j - step * i * d)
                 acc[key] = acc.get(key, 0) + c
         # multiply by prod_{t=0}^{step*(D-d)-1} (1 + q^(1+s-step*D+t) z^step)

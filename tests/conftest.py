@@ -4,6 +4,9 @@ import math
 
 import pytest
 
+from reglinked.automata import (AlphabetError, Concat, Dfa, Empty, Epsilon,
+                                Regex, Star, Symbol, Union, _renumber_bfs,
+                                minimize, regex_symbols)
 from reglinked.qalgebra import (BiPoly, Q as q, QSeries, RationalFunction,
                                 RfMatrix, X as x, _bipoly_from_profile,
                                 _u_mul, _u_neg, _u_sub, _u_trim)
@@ -220,8 +223,8 @@ def rf_q_expand(rf, order):
     denominator needs a nonzero constant term."""
     if rf.num.degree_x() or rf.den.degree_x():
         raise ValueError("rational function involves x; cannot expand in q alone")
-    num = QSeries(rf.num.coefficient_in_x(0), order)
-    den = QSeries(rf.den.coefficient_in_x(0), order)
+    num = QSeries(rf.num.x_profile()[0], order)
+    den = QSeries(rf.den.x_profile()[0], order)
     return num * den.invert()
 
 
@@ -235,10 +238,160 @@ def equivalent_via_product(m1, m2):
     return not any(v in diff.accept for v in diff.reachable())
 
 
+# ---------------------------------------------------------------------------
+# the Thompson route from a regex to a DFA: epsilon-NFA, subset construction
+# ---------------------------------------------------------------------------
+
+class EpsNfa:
+    """Nondeterministic automaton with epsilon moves.
+
+    transitions maps (state, symbol) and (state, None) for epsilon to
+    frozensets of successor states.
+    """
+
+    __slots__ = ("alphabet", "n_states", "transitions", "start", "accept")
+
+    def __init__(self, alphabet, n_states, transitions, start, accept):
+        self.alphabet = tuple(alphabet)
+        self.n_states = n_states
+        self.transitions = {k: frozenset(v) for k, v in transitions.items() if v}
+        self.start = start
+        self.accept = frozenset(accept)
+        for (s, a), targets in self.transitions.items():
+            if not (0 <= s < n_states) or any(not 0 <= t < n_states for t in targets):
+                raise ValueError("transition endpoints outside the state set")
+            if a is not None and a not in self.alphabet:
+                raise AlphabetError(f"transition on unknown symbol {a!r}")
+        if not 0 <= start < n_states or any(not 0 <= f < n_states for f in self.accept):
+            raise ValueError("start/accept outside the state set")
+
+    def moves(self, state, symbol):
+        return self.transitions.get((state, symbol), frozenset())
+
+    def eps_closure(self, states):
+        seen = set(states)
+        stack = list(states)
+        while stack:
+            s = stack.pop()
+            for t in self.moves(s, None):
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return frozenset(seen)
+
+    def accepts(self, word):
+        cur = self.eps_closure({self.start})
+        for a in word:
+            nxt = set()
+            for s in cur:
+                nxt |= self.moves(s, a)
+            cur = self.eps_closure(nxt)
+        return bool(cur & self.accept)
+
+
+class _NfaBuilder:
+    def __init__(self, alphabet):
+        self.alphabet = tuple(alphabet)
+        self.count = 0
+        self.trans = {}
+
+    def state(self):
+        s = self.count
+        self.count += 1
+        return s
+
+    def edge(self, src, sym, dst):
+        self.trans.setdefault((src, sym), set()).add(dst)
+
+
+def to_eps_nfa(r: Regex, alphabet) -> EpsNfa:
+    """Compositional automaton for a regex: concatenation links old accept
+    states to the next start by epsilon moves; star adds a fresh accepting
+    start looping back into the body."""
+    alphabet = tuple(str(s) for s in alphabet)
+    for s in regex_symbols(r):
+        if s not in alphabet:
+            raise AlphabetError(f"regex symbol {s!r} not in the alphabet")
+    b = _NfaBuilder(alphabet)
+
+    def build(node):
+        if isinstance(node, Empty):
+            return b.state(), frozenset()
+        if isinstance(node, Epsilon):
+            s = b.state()
+            return s, frozenset([s])
+        if isinstance(node, Symbol):
+            s, t = b.state(), b.state()
+            b.edge(s, node.name, t)
+            return s, frozenset([t])
+        if isinstance(node, Union):
+            s = b.state()
+            s1, f1 = build(node.left)
+            s2, f2 = build(node.right)
+            b.edge(s, None, s1)
+            b.edge(s, None, s2)
+            return s, f1 | f2
+        if isinstance(node, Concat):
+            s1, f1 = build(node.left)
+            s2, f2 = build(node.right)
+            for f in f1:
+                b.edge(f, None, s2)
+            return s1, f2
+        if isinstance(node, Star):
+            s = b.state()
+            s1, f1 = build(node.inner)
+            b.edge(s, None, s1)
+            for f in f1:
+                b.edge(f, None, s1)
+            return s, f1 | frozenset([s])
+        raise TypeError(f"not a Regex node: {node!r}")
+
+    start, accept = build(r)
+    return EpsNfa(alphabet, b.count, b.trans, start, accept)
+
+
+def subset_construction(nfa: EpsNfa) -> Dfa:
+    """Equivalent DFA; only the subsets reachable from the start closure
+    are materialized."""
+    def successors(cur):
+        out = []
+        for a in nfa.alphabet:
+            nxt = set()
+            for s in cur:
+                nxt |= nfa.moves(s, a)
+            out.append(nfa.eps_closure(nxt))
+        return out
+
+    return _renumber_bfs(nfa.alphabet, successors, nfa.eps_closure({nfa.start}),
+                         lambda sub: bool(sub & nfa.accept))
+
+
+def dfa_from_regex_by_subsets(r, alphabet):
+    """automata.dfa_from_regex by the Thompson route: the regex's
+    epsilon-NFA, its subset construction, then minimized."""
+    return minimize(subset_construction(to_eps_nfa(r, alphabet)))
+
+
+def check_dfa_from_regex_calls(monkeypatch):
+    """Patch both import sites of dfa_from_regex (automata and linked) so
+    that every call also builds the DFA by dfa_from_regex_by_subsets and
+    asserts that the two are equal; returns the checking function."""
+    from reglinked import automata, linked
+
+    derivatives = automata.dfa_from_regex
+
+    def checked(r, alphabet):
+        got = derivatives(r, alphabet)
+        assert got == dfa_from_regex_by_subsets(r, alphabet), r
+        return got
+
+    monkeypatch.setattr(automata, "dfa_from_regex", checked)
+    monkeypatch.setattr(linked, "dfa_from_regex", checked)
+    return checked
+
+
 def dfa_concat(m1, m2):
     """Concatenation via the epsilon-NFA construction, then determinized."""
-    from reglinked.automata import AlphabetError, EpsNfa, subset_construction
-
     if m1.alphabet != m2.alphabet:
         raise AlphabetError("concatenation of automata over different alphabets")
     n1 = m1.num_states
@@ -291,15 +444,16 @@ def state_for_class_by_equivalence(spec, extra_prefixes):
     return None
 
 
-def fixed_point_series(system, state, order, x_value=1):
-    """The per-state series of a q-difference system by fixed-point
-    iteration: order + 1 sweeps of every state over bivariate series
-    truncated at q^order, each sweep fixing one more q-order.  The
-    x-degree-0 layer is seeded with 1 for the states whose trivial
-    (weight-1) walk never dies.  Same return shape as
-    linked.series_from_system, which solves the system in one pass."""
-    terms = [[[(c, i, j) for (i, j), c in e.num.terms.items()] for e in row]
-             for row in system.matrix.entries]
+def _system_terms(system):
+    return [[[(c, i, j) for (i, j), c in e.num.terms.items()] for e in row]
+            for row in system.matrix.entries]
+
+
+def trivial_walk_survival(system):
+    """Per row of the matrix, 1 when the walk along weight-1 entries (the
+    trivial symbol) from that row's state never dies, else 0: |Q| steps
+    that never die visit some state twice, so the walk then cycles."""
+    terms = _system_terms(system)
     n = len(terms)
 
     def trivial_successor(v):
@@ -310,11 +464,24 @@ def fixed_point_series(system, state, order, x_value=1):
         for _ in range(n):
             v = trivial_successor(v)
             if v is None:
-                return False
-        return True
+                return 0
+        return 1
 
+    return [survives(v) for v in range(n)]
+
+
+def fixed_point_series(system, state, order, x_value=1):
+    """The per-state series of a q-difference system by fixed-point
+    iteration: order + 1 sweeps of every state over bivariate series
+    truncated at q^order, each sweep fixing one more q-order.  The
+    x-degree-0 layer is seeded with 1 for the states whose trivial
+    (weight-1) walk never dies (trivial_walk_survival).  Same return shape
+    as linked.series_from_system, which solves the system in one pass."""
+    terms = _system_terms(system)
+    n = len(terms)
     m = system.step
-    cur = [({(0, 0): 1} if survives(v) else {}) for v in range(n)]
+    cur = [({(0, 0): 1} if alive else {})
+           for alive in trivial_walk_survival(system)]
     for _ in range(order + 1):
         new = [{} for _ in range(n)]
         for v in range(n):

@@ -2,17 +2,18 @@ import random
 
 import pytest
 
-from conftest import (GOLDEN_DFA_ACCEPT, GOLDEN_DFA_TABLE, all_words,
-                      dfa_concat, equivalent_via_product,
+from conftest import (GOLDEN_DFA_ACCEPT, GOLDEN_DFA_TABLE, EpsNfa, all_words,
+                      check_dfa_from_regex_calls, dfa_concat,
+                      dfa_from_regex_by_subsets, equivalent_via_product,
                       min_forbidden_prefixes_by_products, regex_match_words,
-                      table_filling_minimize)
+                      subset_construction, table_filling_minimize, to_eps_nfa)
 from reglinked import automata as A
 from reglinked.automata import (
     AND, OR, AlphabetError, Concat, Dfa, Empty, Epsilon, RegexSyntaxError,
     Star, Symbol, Union, complement, dfa_from_regex, dfa_from_text,
     dfa_to_text, empty_dfa, equivalent, isomorphism,
     min_forbidden_prefixes, minimize, parse_regex, product, restart,
-    subset_construction, to_eps_nfa, union_all,
+    union_all,
 )
 
 DIGITS = ("0", "1", "2", "3", "4")
@@ -31,6 +32,14 @@ def minimize_matches_table_filling(monkeypatch):
 
     monkeypatch.setattr(A, "minimize", checked)
     monkeypatch.setitem(globals(), "minimize", checked)
+
+
+@pytest.fixture(autouse=True)
+def dfa_from_regex_matches_subsets(monkeypatch):
+    """Every DFA this module builds from a regex must equal the one the
+    Thompson route (epsilon-NFA, subset construction) builds."""
+    monkeypatch.setitem(globals(), "dfa_from_regex",
+                        check_dfa_from_regex_calls(monkeypatch))
 
 
 NANDI_X = "12U13U14U21U22U23U24U32U34U42U43U44U104U203U204U304U404U41*03"
@@ -122,14 +131,14 @@ def test_subset_construction_on_dfa_is_isomorphic():
         for k, a in enumerate(d.alphabet):
             trans[(v, a)] = {d.transitions[v][k]}
     again = subset_construction(
-        A.EpsNfa(d.alphabet, d.num_states, trans, d.start, d.accept))
+        EpsNfa(d.alphabet, d.num_states, trans, d.start, d.accept))
     assert isomorphism(d, again) is not None
 
 
 def test_epsilon_cycle_terminates():
     # two states in an epsilon cycle; accepts exactly "0"
     trans = {(0, None): {1}, (1, None): {0}, (0, "0"): {2}}
-    nfa = A.EpsNfa(("0", "1"), 3, trans, 0, {2})
+    nfa = EpsNfa(("0", "1"), 3, trans, 0, {2})
     dfa = subset_construction(nfa)
     assert dfa.accepts(("0",))
     assert not dfa.accepts(())
@@ -252,6 +261,26 @@ def test_language_preservation_random_regexes():
         d = dfa_from_regex(r, alpha)
         for w in all_words(alpha, 4):
             assert d.accepts(w) == regex_match_words(r, w), (trial, r, w)
+
+
+def test_dfa_from_regex_matches_subset_route_on_random_regexes():
+    # alphabets of 1-4 symbols; every fifth regex may also name "x", which
+    # is outside its alphabet, and both routes must then refuse it
+    rng = random.Random(1964)
+    outcomes = {"equal": 0, "refused": 0}
+    for trial in range(3000):
+        alpha = DIGITS[:rng.randint(1, 4)]
+        r = _random_regex(rng, alpha + ("x",) * (trial % 5 == 0), depth=4)
+        try:
+            want = dfa_from_regex_by_subsets(r, alpha)
+        except AlphabetError:
+            with pytest.raises(AlphabetError, match="not in the alphabet"):
+                dfa_from_regex(r, alpha)
+            outcomes["refused"] += 1
+            continue
+        assert dfa_from_regex(r, alpha) == want, r
+        outcomes["equal"] += 1
+    assert outcomes["refused"] >= 100, outcomes
 
 
 def _random_regex(rng, alpha, depth):

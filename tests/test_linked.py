@@ -10,9 +10,10 @@ import pytest
 
 from conftest import (CLASS_PREFIXES, CLASS_STATE, GOLDEN_DFA_ACCEPT,
                       GOLDEN_DFA_TABLE, GOLDEN_SYSTEM_ROWS,
-                      brute_partition_counts, encode_by_multiplicities,
-                      fixed_point_series, random_spec,
-                      state_for_class_by_equivalence)
+                      brute_partition_counts, check_dfa_from_regex_calls,
+                      encode_by_multiplicities, fixed_point_series,
+                      random_spec, state_for_class_by_equivalence,
+                      trivial_walk_survival)
 from reglinked import linked
 from reglinked.automata import Dfa, Empty, Symbol, isomorphism, parse_regex
 from reglinked.linked import (
@@ -24,6 +25,13 @@ from reglinked.linked import (
 from reglinked.partitions import (EMPTY, Partition, in_class, partitions_of,
                                   satisfies_nandi)
 from reglinked.qalgebra import Q, QSeries, RationalFunction, RfMatrix, X
+
+
+@pytest.fixture(autouse=True)
+def dfa_from_regex_matches_subsets(monkeypatch):
+    """Every DFA this module builds from a regex must equal the one the
+    Thompson route (epsilon-NFA, subset construction) builds."""
+    check_dfa_from_regex_calls(monkeypatch)
 
 
 # ---------------------------------------------------------------------------
@@ -336,25 +344,45 @@ def test_series_from_system_rejects_zero_weight_self_feed():
     # term is 1; q * 1 then lands on q^1, which the term 1 feeds back into
     # q^1 itself: a self-feed at zero weight
     system = QDifferenceSystem(
-        1, (0,), RfMatrix([[RationalFunction._coerce(1 + Q)]]), 0)
+        1, (0,), RfMatrix([[RationalFunction._coerce(1 + Q)]]), 0, (1,))
     for x_value in (1, "symbolic"):
         with pytest.raises(ValueError, match="feeds its own degree"):
             series_from_system(system, 0, 4, x_value=x_value)
     # the same loop on the constant term alone is the seeded exception
-    loop = QDifferenceSystem(1, (0,), RfMatrix([[RationalFunction._coerce(1)]]), 0)
+    loop = QDifferenceSystem(
+        1, (0,), RfMatrix([[RationalFunction._coerce(1)]]), 0, (1,))
     assert series_from_system(loop, 0, 4) == QSeries.one(4)
 
 
-def test_empty_word_survives_on_hand_built_successors():
-    survives = linked._empty_word_survives
-    # a chain of |Q| - 1 steps into a dead end: dies from every state
-    assert survives([1, 2, 3, None]) == [0, 0, 0, 0]
-    # a chain into a cycle, and a chain into a self-loop
-    assert survives([1, 2, 3, 1]) == [1, 1, 1, 1]
-    assert survives([1, 2, 3, 3]) == [1, 1, 1, 1]
-    # a self-loop beside a chain into a dead end
-    assert survives([0, 2, None]) == [1, 0, 0]
-    assert survives([None, None]) == [0, 0]
+def test_system_seed_holds_a_0_or_1_per_label():
+    matrix = RfMatrix([[RationalFunction._coerce(1 + X * Q)]])
+    for seed in ((), (1, 1), (2,)):
+        with pytest.raises(ValueError, match="seed must hold"):
+            QDifferenceSystem(1, (0,), matrix, 0, seed)
+
+
+WITH_TRIVIAL = "alphabet: [0, 1]\npi: {0: [], 1: [1]}"
+NO_TRIVIAL = "alphabet: [1, 2]\npi: {1: [1], 2: [0, 1]}"
+
+
+@pytest.mark.parametrize("symbols, patterns, prefixes, seed", [
+    # the trivial walk 0 -> 1 -> 3 -> 4 dies at the fourth "0"
+    (WITH_TRIVIAL, "0000U1", "", (0, 0, 0, 0)),
+    # a self-loop at the start beside a chain that dies ("1", then "10")
+    (WITH_TRIVIAL, "100", "", (1, 0, 0)),
+    # the two parities of "0"s before the first "1" form a cycle, and the
+    # states after the first "1" chain into a self-loop
+    (WITH_TRIVIAL, "11", "(00)*1", (1, 1, 1, 1)),
+    # no class holds the empty partition
+    (NO_TRIVIAL, "12U21", "", (0, 0, 0)),
+], ids=["chain-dies", "self-loop-beside-dying-chain", "cycle-and-self-loop",
+        "no-trivial-symbol"])
+def test_seed_equals_trivial_walk_survival(symbols, patterns, prefixes, seed):
+    spec = parse_spec_text(f"m: 2\n{symbols}\nforbidden_patterns: \"{patterns}\"\n"
+                           f"forbidden_prefixes: \"{prefixes}\"\n")
+    system = derive_system(spec)
+    assert system.seed == seed
+    assert list(system.seed) == trivial_walk_survival(system)
 
 
 def test_distinct_parts_system():

@@ -108,7 +108,7 @@ def test_manual_first_conjugation_step(nandi_system):
         rows[1][j] = p1[0, j]
     t1 = RfMatrix(rows)
     p2 = mat_mul(mat_mul(mat_shift_x(t1, -2), p1), mat_inverse_T(t1))
-    resumed = QDifferenceSystem(2, system.labels, p2, system.start)
+    resumed = QDifferenceSystem(2, system.labels, p2, system.start, system.seed)
     l_prime, p_final = triangularize(resumed)
     assert l_prime == 5
     assert p_final == GOLDEN_P5[1]
@@ -159,7 +159,7 @@ def test_triangularize_one_by_one():
 
 def _one_by_one(entry):
     return QDifferenceSystem(
-        1, (0,), RfMatrix([[RationalFunction._coerce(entry)]]), 0)
+        1, (0,), RfMatrix([[RationalFunction._coerce(entry)]]), 0, (1,))
 
 
 def test_triangularize_deterministic(nandi_system):
@@ -174,7 +174,8 @@ def test_intermediate_steps_reproduce_final(nandi_system):
     # running the loop is the same as running it from any intermediate state
     system = reorder(nandi_system, NO_SWAP_ORDER[1])
     l_prime, p = triangularize(system)
-    relabeled = QDifferenceSystem(system.step, tuple(range(7)), p, 0)
+    relabeled = QDifferenceSystem(system.step, tuple(range(7)), p, 0,
+                                  system.seed)
     l2, p2 = triangularize(relabeled)
     assert (l2, p2) == (l_prime, p)
 
