@@ -1,11 +1,9 @@
 """Integer partitions, the mod-14 difference conditions as executable
-predicates (in part form and in multiplicity form), the brute-force
-enumeration oracle, and the block-shift maps used by the encoders.
+predicates (in part form and in multiplicity form), the prefix-pruned
+enumeration walk, and the block-shift maps used by the encoders.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 class Partition:
@@ -46,9 +44,6 @@ class Partition:
     @property
     def weight(self):
         return sum(self.parts)
-
-    def multiplicity(self, i):
-        return sum(1 for p in self.parts if p == i)
 
     def is_empty(self):
         return not self.parts
@@ -124,13 +119,6 @@ def phi_plus(p: Partition, k: int = 1) -> Partition:
     return Partition(tuple(x + k for x in p.parts))
 
 
-def phi_minus(p: Partition, k: int = 1) -> Partition:
-    """Subtract k from every part, discarding parts <= k."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return Partition(tuple(x - k for x in p.parts if x > k))
-
-
 def oplus(a: Partition, b: Partition) -> Partition:
     """Multiset union of parts, reordered weakly decreasing."""
     return Partition(sorted(a.parts + b.parts, reverse=True))
@@ -142,60 +130,34 @@ def weight_monomial(p: Partition):
     return BiPoly.monomial(1, len(p), p.weight)
 
 
-def truncate_le(p: Partition, m: int) -> Partition:
-    """Keep the parts <= m."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return Partition(tuple(x for x in p.parts if x <= m))
-
-
-def truncate_gt(p: Partition, m: int) -> Partition:
-    """Keep the parts > m."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return Partition(tuple(x for x in p.parts if x > m))
-
-
 # ---------------------------------------------------------------------------
 # the mod-14 conditions
 # ---------------------------------------------------------------------------
 
-def _nandi_parts_ok(parts) -> bool:
-    n = len(parts)
-    for i in range(n - 1):
-        if parts[i] - parts[i + 1] == 1:
-            return False
-    for i in range(n - 2):
-        a, b, c = parts[i], parts[i + 1], parts[i + 2]
-        d = a - c
-        if d < 3:
-            return False
-        if d == 3:
-            if a == b:
-                return False
-            if a % 2 and b == c:
-                return False
-        elif d == 4 and a % 2:
-            if a == b or b == c:
-                return False
-    # forbid the difference-sequence window (3, 2, ..., 2, 3, 0)
-    if n >= 4:
-        diffs = [parts[i] - parts[i + 1] for i in range(n - 1)]
-        nd = len(diffs)
-        for s in range(nd):
-            if diffs[s] != 3:
-                continue
-            j = s + 1
-            while j < nd and diffs[j] == 2:
-                j += 1
-            if j + 1 < nd and diffs[j] == 3 and diffs[j + 1] == 0:
-                return False
+def _window_ok(parts, k) -> bool:
+    """The base-class windows that end at index k of a weakly decreasing
+    sequence; a partition is in the base class iff they pass at every k."""
+    if k and parts[k - 1] - parts[k] == 1:
+        return False
+    if k < 2:
+        return True
+    a, b, c = parts[k - 2], parts[k - 1], parts[k]
+    if a - c < 3 or a - c == 3 and (a == b or a % 2 and b == c):
+        return False
+    if a - c == 4 and a % 2 and (a == b or b == c):
+        return False
+    # the difference window (3, 2, ..., 2, 3, 0): scan back over the 2s
+    if b == c and a - b == 3:
+        i = k - 2
+        while i and parts[i - 1] - parts[i] == 2:
+            i -= 1
+        return not (i and parts[i - 1] - parts[i] == 3)
     return True
 
 
 def satisfies_nandi(p: Partition) -> bool:
     """All six difference conditions defining the base class."""
-    return _nandi_parts_ok(p.parts)
+    return all(_window_ok(p.parts, k) for k in range(len(p.parts)))
 
 
 def satisfies_nandi_mult(f: MultiplicityVector) -> bool:
@@ -266,97 +228,52 @@ def _class_extra_ok(parts, a) -> bool:
 
 def in_class(p: Partition, a: int) -> bool:
     """Membership in the a-th mod-14 class (a = 1, 2, 3)."""
-    return _nandi_parts_ok(p.parts) and _class_extra_ok(p.parts, a)
+    return satisfies_nandi(p) and _class_extra_ok(p.parts, a)
 
 
 # ---------------------------------------------------------------------------
-# enumeration oracle
+# enumeration
 # ---------------------------------------------------------------------------
 
-def _raw_partitions_of(n):
-    """Yield partitions of n as lists, lexicographically decreasing."""
-    if n == 0:
-        yield []
-        return
-    a = [n]
+def _walk(n, window_ok, parts):
+    """Yield the shared list parts at each completion of it by parts summing
+    to n, largest part first (lexicographically decreasing); a prefix grows
+    only while window_ok(parts, k) holds at its newest index k."""
+    if not n:
+        yield parts
+    base, x = len(parts), min(n, parts[-1]) if parts else n
     while True:
-        yield a
-        j = len(a) - 1
-        while j >= 0 and a[j] == 1:
-            j -= 1
-        if j < 0:
+        if x:
+            parts.append(x)
+            n -= x
+            if window_ok(parts, len(parts) - 1):
+                if n:
+                    x = min(n, x)
+                    continue
+                yield parts
+        elif len(parts) == base:
             return
-        a[j] -= 1
-        rem = len(a) - 1 - j + 1
-        del a[j + 1:]
-        m = a[j]
-        while rem > m:
-            a.append(m)
-            rem -= m
-        if rem:
-            a.append(rem)
+        x = parts.pop()  # next sibling: the same slot, one smaller
+        n += x
+        x -= 1
 
 
 def partitions_of(n: int):
     """All partitions of n in lexicographically decreasing order."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    for raw in _raw_partitions_of(n):
-        yield Partition(tuple(raw))
+    for parts in _walk(n, lambda parts, k: True, []):
+        yield Partition(parts)
 
 
 def count_all_class_series(order: int):
-    """One exhaustive sweep; returns {a: [c_0..c_order]} for a = 1, 2, 3."""
-    sweep = _sweep_counts(order)
-    return {a: [row[a] for row in sweep] for a in (1, 2, 3)}
-
-
-def _sweep_counts(order):
+    """{a: [c_0..c_order]} for a = 1, 2, 3: one prefix-pruned walk per
+    weight, the class conditions checked at each completion."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    out = []
+    counts = {a: [0] * (order + 1) for a in (1, 2, 3)}
     for n in range(order + 1):
-        row = {1: 0, 2: 0, 3: 0}
-        for raw in _raw_partitions_of(n):
-            if not _nandi_parts_ok(raw):
-                continue
+        for parts in _walk(n, _window_ok, []):
             for a in (1, 2, 3):
-                if _class_extra_ok(raw, a):
-                    row[a] += 1
-        out.append(row)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# block-shift stability check
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ModulusCheck:
-    """Outcome of the two-clause stability check; truthy iff it passed."""
-
-    ok: bool
-    clause: str | None = None
-    witness: Partition | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def check_modulus_conditions(membership, m: int, bound: int) -> ModulusCheck:
-    """Verify, for all partitions of weight <= bound, that the class is
-    stable under keeping the parts <= m and under subtracting m from all
-    parts; returns a falsy result carrying a witness on failure."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    for n in range(bound + 1):
-        for p in partitions_of(n):
-            if not membership(p):
-                continue
-            if not membership(truncate_le(p, m)):
-                return ModulusCheck(False, "truncate_le", p)
-            if not membership(phi_minus(p, m)):
-                return ModulusCheck(False, "phi_minus", p)
-    return ModulusCheck(True)
+                counts[a][n] += _class_extra_ok(parts, a)
+    return counts

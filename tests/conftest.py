@@ -1,12 +1,14 @@
 """Shared golden data and independent oracles for the test suite."""
 
 import math
+from dataclasses import dataclass
 
 import pytest
 
 from reglinked.automata import (AlphabetError, Concat, Dfa, Empty, Epsilon,
                                 Regex, Star, Symbol, Union, _renumber_bfs,
                                 minimize, regex_symbols)
+from reglinked.partitions import Partition, partitions_of
 from reglinked.qalgebra import (BiPoly, Q as q, QSeries, RationalFunction,
                                 RfMatrix, X as x, _bipoly_from_profile,
                                 _u_mul, _u_neg, _u_sub, _u_trim)
@@ -123,6 +125,62 @@ def brute_partition_counts(order, predicate):
                 yield (k,) + rest
 
     return [sum(1 for p in gen(n, n) if predicate(p)) for n in range(order + 1)]
+
+
+# ---------------------------------------------------------------------------
+# partition maps and the block-shift stability check
+# ---------------------------------------------------------------------------
+
+def phi_minus(p: Partition, k: int = 1) -> Partition:
+    """Subtract k from every part, discarding parts <= k."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return Partition(tuple(x - k for x in p.parts if x > k))
+
+
+def truncate_le(p: Partition, m: int) -> Partition:
+    """Keep the parts <= m."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return Partition(tuple(x for x in p.parts if x <= m))
+
+
+def truncate_gt(p: Partition, m: int) -> Partition:
+    """Keep the parts > m."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return Partition(tuple(x for x in p.parts if x > m))
+
+
+@dataclass(frozen=True)
+class ModulusCheck:
+    """Outcome of the two-clause stability check; truthy iff it passed."""
+
+    ok: bool
+    clause: str | None = None
+    witness: Partition | None = None
+
+    def __bool__(self):
+        return self.ok
+
+
+def check_modulus_conditions(membership, m: int, bound: int) -> ModulusCheck:
+    """Verify, for all partitions of weight <= bound, that the class is
+    stable under keeping the parts <= m and under subtracting m from all
+    parts; returns a falsy result carrying a witness on failure."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    for n in range(bound + 1):
+        for p in partitions_of(n):
+            if not membership(p):
+                continue
+            if not membership(truncate_le(p, m)):
+                return ModulusCheck(False, "truncate_le", p)
+            if not membership(phi_minus(p, m)):
+                return ModulusCheck(False, "phi_minus", p)
+    return ModulusCheck(True)
 
 
 def regex_match_words(node, word, memo=None):

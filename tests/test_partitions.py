@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from conftest import brute_partition_counts
+from conftest import (brute_partition_counts, check_modulus_conditions,
+                      phi_minus, truncate_gt, truncate_le)
 from reglinked.partitions import (
-    EMPTY, MultiplicityVector, Partition, check_modulus_conditions, weight_monomial,
+    EMPTY, MultiplicityVector, Partition, weight_monomial,
     count_all_class_series, from_multiplicities, in_class, oplus,
-    partitions_of, phi_minus, phi_plus, satisfies_nandi, satisfies_nandi_mult,
-    to_multiplicities, truncate_gt, truncate_le,
+    partitions_of, phi_plus, satisfies_nandi, satisfies_nandi_mult,
+    to_multiplicities,
 )
 
 def test_partition_validation():
@@ -169,9 +170,9 @@ def test_count_class_series_against_independent_enumeration():
     def predicate(a):
         return lambda parts: in_class(Partition(parts), a)
 
-    counts = count_all_class_series(14)
+    counts = count_all_class_series(24)
     for a in (1, 2, 3):
-        assert counts[a] == brute_partition_counts(14, predicate(a))
+        assert counts[a] == brute_partition_counts(24, predicate(a))
 
 
 def test_enumeration_order_is_lex_decreasing():
@@ -179,6 +180,27 @@ def test_enumeration_order_is_lex_decreasing():
     assert got == [(5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1),
                    (1, 1, 1, 1, 1)]
     assert [p.parts for p in partitions_of(0)] == [()]
+    sizes = brute_partition_counts(30, lambda p: True)
+    for n in range(31):
+        got = [p.parts for p in partitions_of(n)]
+        assert all(a > b for a, b in zip(got, got[1:])), n
+        assert len(got) == sizes[n], n
+    with pytest.raises(ValueError):
+        next(partitions_of(-1))
+    with pytest.raises(ValueError):
+        count_all_class_series(-1)
+
+
+def test_base_class_is_closed_under_prefixes():
+    # the enumeration walk prunes a prefix as soon as it leaves the base
+    # class; decided here on the multiplicity form, independent of the walk
+    def ok(p):
+        return satisfies_nandi_mult(to_multiplicities(p))
+
+    for n in range(27):
+        for p in partitions_of(n):
+            if ok(p):
+                assert all(ok(Partition(p.parts[:i])) for i in range(len(p))), p
 
 
 def test_modulus_conditions():
