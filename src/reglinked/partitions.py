@@ -146,18 +146,25 @@ def _window_ok(parts, k) -> bool:
         return False
     if a - c == 4 and a % 2 and (a == b or b == c):
         return False
-    # the difference window (3, 2, ..., 2, 3, 0): scan back over the 2s
-    if b == c and a - b == 3:
-        i = k - 2
-        while i and parts[i - 1] - parts[i] == 2:
-            i -= 1
-        return not (i and parts[i - 1] - parts[i] == 3)
-    return True
+    # the difference window (3, 2, ..., 2, 3, 0)
+    return not (b == c and a - b == 3 and _twos_then_three(parts, k - 2))
+
+
+def _twos_then_three(parts, i) -> bool:
+    """Whether the differences read back from index i are some number of
+    2s and then a 3."""
+    while i and parts[i - 1] - parts[i] == 2:
+        i -= 1
+    return bool(i) and parts[i - 1] - parts[i] == 3
 
 
 def satisfies_nandi(p: Partition) -> bool:
     """All six difference conditions defining the base class."""
-    return all(_window_ok(p.parts, k) for k in range(len(p.parts)))
+    parts = p.parts
+    for k in range(len(parts)):
+        if not _window_ok(parts, k):
+            return False
+    return True
 
 
 def satisfies_nandi_mult(f: MultiplicityVector) -> bool:
@@ -201,29 +208,20 @@ def satisfies_nandi_mult(f: MultiplicityVector) -> bool:
 
 def _class_extra_ok(parts, a) -> bool:
     """The class-a condition on top of the base difference conditions;
-    parts is a weakly decreasing tuple or list."""
+    parts is a weakly decreasing tuple or list, so the parts <= 3 that
+    the conditions name form its tail, and only the tail is read."""
     if a == 1:
         return not parts or parts[-1] != 1
     if a not in (2, 3):
         raise ValueError("class index must be 1, 2 or 3")
-    m1, m2, m3 = parts.count(1), parts.count(2), parts.count(3)
+    n = i = len(parts)
+    while i and parts[i - 1] <= 3:
+        i -= 1
     if a == 2:
-        return m1 <= 1 and m2 <= 1 and m3 <= 1
-    if m1 or m3 or m2 > 1:
-        return False
-    # forbid a contiguous run (2k+3, 2k, 2k-2, ..., 4, 2); its first
-    # entry is a part, so k is bounded by the largest part
-    if not parts:
-        return True
-    parts = tuple(parts)
-    n = len(parts)
-    for k in range(1, (parts[0] - 3) // 2 + 1):
-        pat = (2 * k + 3,) + tuple(2 * (k - t) for t in range(k))
-        w = len(pat)
-        for s in range(n - w + 1):
-            if parts[s:s + w] == pat:
-                return False
-    return True
+        return len(set(parts[i:])) == n - i
+    # the tail is empty, or one 2 that ends no run (2k+3, 2k, ..., 4, 2)
+    return i == n or i == n - 1 and parts[i] == 2 and not _twos_then_three(
+        parts, i)
 
 
 def in_class(p: Partition, a: int) -> bool:
@@ -236,21 +234,23 @@ def in_class(p: Partition, a: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def _walk(n, window_ok, parts):
-    """Yield the shared list parts at each completion of it by parts summing
-    to n, largest part first (lexicographically decreasing); a prefix grows
-    only while window_ok(parts, k) holds at its newest index k."""
-    if not n:
-        yield parts
+    """Yield (rest, parts) for the given prefix and then for every
+    extension of it that window_ok accepts, largest part first
+    (lexicographically decreasing).  parts is one shared list, grown by
+    parts no larger than its last, and rest is n minus the sum of the
+    parts added; a prefix grows only while rest is positive and
+    window_ok(parts, k) holds at its newest index k."""
+    yield n, parts
     base, x = len(parts), min(n, parts[-1]) if parts else n
     while True:
         if x:
             parts.append(x)
             n -= x
             if window_ok(parts, len(parts) - 1):
+                yield n, parts
                 if n:
                     x = min(n, x)
                     continue
-                yield parts
         elif len(parts) == base:
             return
         x = parts.pop()  # next sibling: the same slot, one smaller
@@ -262,18 +262,20 @@ def partitions_of(n: int):
     """All partitions of n in lexicographically decreasing order."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    for parts in _walk(n, lambda parts, k: True, []):
-        yield Partition(parts)
+    for rest, parts in _walk(n, lambda parts, k: True, []):
+        if not rest:
+            yield Partition(parts)
 
 
 def count_all_class_series(order: int):
-    """{a: [c_0..c_order]} for a = 1, 2, 3: one prefix-pruned walk per
-    weight, the class conditions checked at each completion."""
+    """{a: [c_0..c_order]} for a = 1, 2, 3: one prefix-pruned walk over
+    total weight <= order.  The base class is closed under taking prefixes,
+    so every node the walk reaches is a base-class partition of its own
+    weight, and the class conditions are counted at every node."""
     if order < 0:
         raise ValueError("order must be >= 0")
     counts = {a: [0] * (order + 1) for a in (1, 2, 3)}
-    for n in range(order + 1):
-        for parts in _walk(n, _window_ok, []):
-            for a in (1, 2, 3):
-                counts[a][n] += _class_extra_ok(parts, a)
+    for rest, parts in _walk(order, _window_ok, []):
+        for a in (1, 2, 3):
+            counts[a][order - rest] += _class_extra_ok(parts, a)
     return counts

@@ -127,6 +127,34 @@ def brute_partition_counts(order, predicate):
     return [sum(1 for p in gen(n, n) if predicate(p)) for n in range(order + 1)]
 
 
+def class_extra_by_scan(parts, a) -> bool:
+    """The class-a condition on top of the base difference conditions, by
+    counting the parts 1, 2, 3 and scanning for every forbidden run
+    (2k+3, 2k, ..., 4, 2); parts is a weakly decreasing tuple or list."""
+    if a == 1:
+        return not parts or parts[-1] != 1
+    if a not in (2, 3):
+        raise ValueError("class index must be 1, 2 or 3")
+    m1, m2, m3 = parts.count(1), parts.count(2), parts.count(3)
+    if a == 2:
+        return m1 <= 1 and m2 <= 1 and m3 <= 1
+    if m1 or m3 or m2 > 1:
+        return False
+    # forbid a contiguous run (2k+3, 2k, 2k-2, ..., 4, 2); its first
+    # entry is a part, so k is bounded by the largest part
+    if not parts:
+        return True
+    parts = tuple(parts)
+    n = len(parts)
+    for k in range(1, (parts[0] - 3) // 2 + 1):
+        pat = (2 * k + 3,) + tuple(2 * (k - t) for t in range(k))
+        w = len(pat)
+        for s in range(n - w + 1):
+            if parts[s:s + w] == pat:
+                return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # partition maps and the block-shift stability check
 # ---------------------------------------------------------------------------

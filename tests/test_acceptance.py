@@ -100,8 +100,8 @@ def test_criterion_4_elimination_goldens(nandi_system):
 
 
 def test_criterion_5_grand_identity():
-    with _Budget(5, 60.0, "four series agree through q^60 for every class"):
-        order = 60
+    with _Budget(5, 60.0, "four series agree through q^80 for every class"):
+        order = 80
         counts = partitions.count_all_class_series(order)
         for a in (1, 2, 3):
             brute = QSeries(counts[a], order)

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from conftest import (brute_partition_counts, check_modulus_conditions,
-                      phi_minus, truncate_gt, truncate_le)
+                      class_extra_by_scan, phi_minus, truncate_gt,
+                      truncate_le)
 from reglinked.partitions import (
     EMPTY, MultiplicityVector, Partition, weight_monomial,
     count_all_class_series, from_multiplicities, in_class, oplus,
@@ -149,13 +150,19 @@ def test_class_examples():
 
 
 def test_class_extra_conditions_agree_on_lists_and_tuples():
+    # the tail predicate against the pattern scan, on every partition
     from reglinked.partitions import _class_extra_ok
-    for n in range(13):
+    for n in range(31):
         for p in partitions_of(n):
             for a in (1, 2, 3):
-                want = _class_extra_ok(p.parts, a)
+                want = class_extra_by_scan(p.parts, a)
+                assert class_extra_by_scan(list(p.parts), a) == want, (p, a)
+                assert _class_extra_ok(p.parts, a) == want, (p, a)
                 assert _class_extra_ok(list(p.parts), a) == want, (p, a)
     assert not _class_extra_ok([9, 6, 4, 2], 3)
+    for a in (0, 4):
+        with pytest.raises(ValueError):
+            _class_extra_ok((2,), a)
 
 
 def test_count_class_series_examples():
