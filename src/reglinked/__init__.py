@@ -19,13 +19,12 @@ from .qalgebra import (
     poch_finite, poch_inf, pochhammer_inverse,
 )
 from .automata import (
-    Dfa, Regex, complement, dfa_from_regex, equivalent, isomorphism,
-    min_forbidden_prefixes, minimize, parse_regex, product, restart,
+    Dfa, Regex, dfa_from_regex, min_forbidden_prefixes, minimize, parse_regex,
 )
 from .linked import (
-    LinkedSpec, LpiData, QDifferenceSystem, build_forbidden_dfa, decode,
-    derive_system, encode, load_spec, lpi_to_spec, member, nandi_spec,
-    nandi_spec_path, series_from_system, state_for_class,
+    LinkedSpec, LpiData, QDifferenceSystem, build_forbidden_dfa, derive_system,
+    encode, load_spec, lpi_to_spec, member, nandi_spec, nandi_spec_path,
+    series_from_system, state_for_class,
 )
 from .murraymiller import (
     QDifferenceEquation, derive_equation, eliminate, normalize_equation,

@@ -1,10 +1,11 @@
 """Regular expressions and DFAs over finite alphabets.
 
 Supports regexes with union, concatenation and star, turned into DFAs
-through their Antimirov partial derivatives; product and complement of DFAs,
-minimization by Moore partition refinement with a canonical breadth-first
-state numbering, language equivalence, and minimal forbidden-prefix
-languages for restarted machines, read off one product walk.
+through their Antimirov partial derivatives; minimization by Moore
+partition refinement with a canonical breadth-first state numbering, so
+that machines with the same language minimize to equal objects; and
+minimal forbidden-prefix languages for restarted machines, read off one
+product walk.
 
 Alphabet symbols are abstract identifiers (strings) with a declared total
 order.  Words are tuples of symbols.
@@ -29,39 +30,61 @@ class AlphabetError(ValueError):
 # regular expression AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Regex:
-    pass
+    """A regex node: immutable, equal to another node of the same type with
+    equal fields.
+
+    Each node hashes once, when it is built, from its type and its fields;
+    its children already hold their hashes, so this costs O(1) however deep
+    the tree is.  That hash depends on the string-hash seed, so pickling
+    rebuilds the node from its fields instead of copying the hash.
+    """
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash",
+                           hash((type(self), *self.__dict__.values())))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self)
+                                 and self._hash == other._hash
+                                 and self.__dict__ == other.__dict__)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Empty(Regex):
     """The empty language."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Epsilon(Regex):
     """The language containing only the empty word."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Symbol(Regex):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Union(Regex):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Concat(Regex):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Star(Regex):
     inner: Regex
 
@@ -84,10 +107,6 @@ def concat_all(items):
     for r in items[1:]:
         out = Concat(out, r)
     return out
-
-
-def word_regex(word):
-    return concat_all([Symbol(s) for s in word])
 
 
 def nullable(r: Regex) -> bool:
@@ -375,27 +394,6 @@ def dfa_from_regex(r: Regex, alphabet) -> Dfa:
                                   lambda terms: any(map(nullable, terms))))
 
 
-def product(m1: Dfa, m2: Dfa, op) -> Dfa:
-    """Product automaton accepting op(w in L(m1), w in L(m2))."""
-    if m1.alphabet != m2.alphabet:
-        raise AlphabetError("product of automata over different alphabets")
-    return _renumber_bfs(
-        m1.alphabet,
-        lambda uv: zip(m1.transitions[uv[0]], m2.transitions[uv[1]]),
-        (m1.start, m2.start),
-        lambda uv: op(uv[0] in m1.accept, uv[1] in m2.accept))
-
-
-AND = lambda a, b: a and b
-OR = lambda a, b: a or b
-XOR = lambda a, b: a != b
-
-
-def complement(m: Dfa) -> Dfa:
-    return Dfa(m.alphabet, m.transitions,
-               m.start, frozenset(range(m.num_states)) - m.accept)
-
-
 def minimize(m: Dfa) -> Dfa:
     """Minimal DFA via Moore's partition refinement.
 
@@ -404,9 +402,7 @@ def minimize(m: Dfa) -> Dfa:
     count stops growing.  The quotient carries the canonical breadth-first
     numbering, so isomorphic minimal machines compare equal.
     """
-    # the reachable part, numbered breadth-first with the start as 0
-    reach = _renumber_bfs(m.alphabet, m.transitions.__getitem__, m.start,
-                          m.accept.__contains__)
+    reach = reachable_from(m, m.start)
     trans = reach.transitions
     cls = [v in reach.accept for v in range(reach.num_states)]
     count = len(set(cls))
@@ -423,47 +419,11 @@ def minimize(m: Dfa) -> Dfa:
                          cls[0], lambda c: member[c] in reach.accept)
 
 
-def equivalent(m1: Dfa, m2: Dfa) -> bool:
-    """Language equality, decided through canonical minimal forms."""
-    if m1.alphabet != m2.alphabet:
-        raise AlphabetError("automata over different alphabets")
-    return minimize(m1) == minimize(m2)
-
-
-def isomorphism(m1: Dfa, m2: Dfa):
-    """State bijection witnessing isomorphism of two reachable DFAs, as a
-    dict m1-state -> m2-state, or None if they are not isomorphic."""
-    if m1.alphabet != m2.alphabet or m1.num_states != m2.num_states:
-        return None
-    mapping = {m1.start: m2.start}
-    queue = [m1.start]
-    while queue:
-        u = queue.pop()
-        v = mapping[u]
-        if (u in m1.accept) != (v in m2.accept):
-            return None
-        for k in range(len(m1.alphabet)):
-            a, b = m1.transitions[u][k], m2.transitions[v][k]
-            if a in mapping:
-                if mapping[a] != b:
-                    return None
-            else:
-                mapping[a] = b
-                queue.append(a)
-    if len(mapping) != m1.num_states or len(set(mapping.values())) != m1.num_states:
-        return None
-    return mapping
-
-
-def restart(m: Dfa, v: int) -> Dfa:
-    """The same machine started at v."""
-    if not 0 <= v < m.num_states:
-        raise ValueError(f"unknown state {v}")
-    return Dfa(m.alphabet, m.transitions, v, m.accept)
-
-
-def empty_dfa(alphabet) -> Dfa:
-    return Dfa(alphabet, [tuple([0] * len(tuple(alphabet)))], 0, frozenset())
+def reachable_from(m: Dfa, v: int) -> Dfa:
+    """The part of m reachable from state v, started at v, in the canonical
+    numbering; minimal whenever m is."""
+    return _renumber_bfs(m.alphabet, m.transitions.__getitem__, v,
+                         m.accept.__contains__)
 
 
 def min_forbidden_prefixes(m: Dfa, v: int, x_pattern: Dfa) -> Dfa:

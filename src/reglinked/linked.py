@@ -25,8 +25,7 @@ from .automata import (
     parse_regex, union_all,
 )
 from .partitions import (
-    EMPTY, MultiplicityVector, Partition, from_multiplicities, oplus,
-    phi_plus, weight_monomial,
+    EMPTY, MultiplicityVector, Partition, from_multiplicities, weight_monomial,
 )
 from .qalgebra import BiPoly, QSeries, RationalFunction, RfMatrix
 
@@ -49,9 +48,10 @@ class LinkedSpec:
     """(m, I, pi, X, X') with pi injective into the partitions with parts <= m.
 
     Derived once, at construction: ``pi_map`` (symbol -> partition), the
-    block table (the parts of each image of pi -> its symbol; building it
-    is the injectivity check), ``trivial_symbol`` (the symbol of the empty
-    partition, or None when there is none) and the hash.
+    block table (the parts of each image of pi, smallest first -> its
+    symbol; building it is the injectivity check), ``trivial_symbol`` (the
+    symbol of the empty partition, or None when there is none) and the
+    hash.
     """
 
     m: int
@@ -70,7 +70,7 @@ class LinkedSpec:
                 raise SpecError(f"alphabet: symbol {s!r} is repeated")
         if tuple(s for s, _ in self.pi) != self.alphabet:
             raise SpecError("pi must list exactly the alphabet symbols, in order")
-        symbol_of_block = {p.parts: s for s, p in self.pi}
+        symbol_of_block = {p.parts[::-1]: s for s, p in self.pi}
         if len(symbol_of_block) != len(self.pi):
             raise SpecError("pi must be injective")
         for _, p in self.pi:
@@ -184,42 +184,51 @@ def nandi_spec_path() -> str:
 # block encoding
 # ---------------------------------------------------------------------------
 
+def _scan_blocks(p: Partition, spec: LinkedSpec):
+    """Name the length-m blocks of p from offset 0 up, stopping at the first
+    block that is not in the image of pi.
+
+    Returns (symbols, None) when every block is named, else (the symbols
+    below the bad block, the bad block's parts).  The parts are read from
+    the smallest up, so a partition that fails low costs only that far.
+    """
+    m = spec.m
+    table = spec._symbol_of_block
+    word = []
+    block = []  # the current block's parts, shifted down by base, smallest first
+    base = 0
+    for part in reversed(p.parts):
+        while part > base + m:
+            sym = table.get(tuple(block))
+            if sym is None:
+                return word, block[::-1]
+            word.append(sym)
+            block = []
+            base += m
+        block.append(part - base)
+    if block:
+        sym = table.get(tuple(block))
+        if sym is None:
+            return word, block[::-1]
+        word.append(sym)
+    return word, None
+
+
 def encode(p: Partition, spec: LinkedSpec):
     """Cut the multiplicity vector into length-m blocks and name each block.
 
     Block k holds the parts in (k*m, (k+1)*m], shifted down by k*m: the
     partition that the k-th length-m multiplicity block spells.
-    Returns the symbol sequence with trailing trivial symbols trimmed;
-    raises BlockEncodingError when some block is not in the image of pi.
+    Returns the symbol sequence; the top block holds the largest part, so
+    the sequence never ends in the trivial symbol.  Raises
+    BlockEncodingError, naming the lowest offset, when some block is not
+    in the image of pi.
     """
-    m = spec.m
-    blocks = [[] for _ in range(-(-p.parts[0] // m) if p.parts else 0)]
-    for part in p.parts:
-        k = (part - 1) // m
-        blocks[k].append(part - m * k)
-    word = []
-    for k, block in enumerate(blocks):
-        sym = spec._symbol_of_block.get(tuple(block))
-        if sym is None:
-            raise BlockEncodingError(
-                f"block {block} at offset {k} not in the image of pi")
-        word.append(sym)
-    triv = spec.trivial_symbol
-    while word and word[-1] == triv:
-        word.pop()
+    word, bad = _scan_blocks(p, spec)
+    if bad is not None:
+        raise BlockEncodingError(
+            f"block {bad} at offset {len(word)} not in the image of pi")
     return tuple(word)
-
-
-def decode(word, spec: LinkedSpec) -> Partition:
-    """Inverse of encode on its image: assemble shifted blocks."""
-    out = EMPTY
-    for k, sym in enumerate(word):
-        try:
-            p = spec.pi_map[sym]
-        except KeyError:
-            raise SpecError(f"unknown symbol {sym!r}") from None
-        out = oplus(out, phi_plus(p, spec.m * k))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +302,16 @@ def derive_system(spec: LinkedSpec) -> QDifferenceSystem:
 
 def state_for_class(spec: LinkedSpec, extra_prefixes: Regex):
     """The non-accepting state whose restarted language is
-    I* X I*  union  L(extra_prefixes) I*, or None if no state matches
-    (the target DFA is minimal, so a matching state minimizes to it)."""
+    I* X I*  union  L(extra_prefixes) I*, or None if no state matches.
+
+    The forbidden DFA is minimal, so the part of it reachable from any
+    state is minimal too; its canonical numbering therefore equals the
+    (minimal, canonical) target machine exactly when the languages agree.
+    """
     target = _forbidden_language_dfa(spec, extra_prefixes)
     dfa = build_forbidden_dfa(spec)
     for v in range(dfa.num_states):
-        if v not in dfa.accept and automata.minimize(
-                automata.restart(dfa, v)) == target:
+        if v not in dfa.accept and automata.reachable_from(dfa, v) == target:
             return v
     return None
 
@@ -389,26 +401,35 @@ def series_from_system(sys: QDifferenceSystem, state, order: int, x_value=1):
 def member(p: Partition, spec: LinkedSpec, state=None) -> bool:
     """Decide membership of a partition in the class attached to a state.
 
-    Runs the encoded word from the state through the forbidden-language
-    machine, then follows the trivial symbol for |Q| further steps: the
-    trivial trajectory becomes periodic within |Q| steps, so this finite
-    check decides the infinite-tail condition.
+    A partition with a block outside the image of pi is rejected.  Otherwise
+    its encoded word runs from the state through the forbidden-language
+    machine, then the trivial symbol is followed until a state repeats: from
+    there the trivial trajectory is periodic, so the states seen so far are
+    all it ever visits, and this finite check decides the infinite-tail
+    condition.
     """
     triv = spec.trivial_symbol
     if triv is None:
         raise MissingTrivialSymbolError(
             "no symbol maps to the empty partition; padded sequences do not exist")
     dfa = build_forbidden_dfa(spec)
-    try:
-        word = encode(p, spec)
-    except BlockEncodingError:
+    word, bad = _scan_blocks(p, spec)
+    if bad is not None:
         return False
+    trans, index, accept = dfa.transitions, dfa._index, dfa.accept
     v = dfa.start if state is None else state
-    for sym in word + (triv,) * dfa.num_states:
-        if v in dfa.accept:
+    for sym in word:
+        if v in accept:
             return False
-        v = dfa.step(v, sym)
-    return v not in dfa.accept
+        v = trans[v][index[sym]]
+    k = index[triv]
+    seen = set()
+    while v not in seen:
+        if v in accept:
+            return False
+        seen.add(v)
+        v = trans[v][k]
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,8 @@ class MultiplicityVector:
     __slots__ = ("mults",)
 
     def __init__(self, mults=()):
-        mults = list(int(m) for m in mults)
-        if any(m < 0 for m in mults):
+        mults = list(map(int, mults))
+        if mults and min(mults) < 0:
             raise ValueError("multiplicities must be non-negative")
         while mults and mults[-1] == 0:
             mults.pop()
@@ -172,35 +172,36 @@ def satisfies_nandi_mult(f: MultiplicityVector) -> bool:
 
     Scans are bounded by the support of f: every forbidden window must end
     at an index with a positive entry, so nothing beyond the support can
-    complete a match.
+    complete a match.  g[i] counts the parts equal to i, zero-padded
+    through i = n + 5, the furthest entry a window reads.
     """
     n = f.support_bound()
-    g = f.__getitem__
+    g = (0,) + f.mults + (0,) * 5
     for j in range(1, n + 1):
-        if g(j) and g(j + 1):
+        if g[j] and g[j + 1]:
             return False
-        if g(j) + g(j + 1) + g(j + 2) >= 3:
+        if g[j] + g[j + 1] + g[j + 2] >= 3:
             return False
-        if g(j) >= 1 and g(j + 1) == 0 and g(j + 2) == 0 and g(j + 3) >= 2:
+        if g[j] >= 1 and g[j + 1] == 0 and g[j + 2] == 0 and g[j + 3] >= 2:
             return False
     for j in range(1, n // 2 + 2):
-        if g(2 * j) >= 2 and g(2 * j + 1) == 0 and g(2 * j + 2) == 0 and g(2 * j + 3) >= 1:
+        if g[2 * j] >= 2 and g[2 * j + 1] == 0 and g[2 * j + 2] == 0 and g[2 * j + 3] >= 1:
             return False
-        if (g(2 * j - 1) >= 2 and g(2 * j) == 0 and g(2 * j + 1) == 0
-                and g(2 * j + 2) == 0 and g(2 * j + 3) >= 1):
+        if (g[2 * j - 1] >= 2 and g[2 * j] == 0 and g[2 * j + 1] == 0
+                and g[2 * j + 2] == 0 and g[2 * j + 3] >= 1):
             return False
-        if (g(2 * j - 1) >= 1 and g(2 * j) == 0 and g(2 * j + 1) == 0
-                and g(2 * j + 2) == 0 and g(2 * j + 3) >= 2):
+        if (g[2 * j - 1] >= 1 and g[2 * j] == 0 and g[2 * j + 1] == 0
+                and g[2 * j + 2] == 0 and g[2 * j + 3] >= 2):
             return False
     # windows (>=2, 0, 0, 1, (0,1)^k, 0, 0, >=1) for k >= 0
     for j in range(1, n + 1):
-        if g(j) < 2 or g(j + 1) or g(j + 2) or g(j + 3) != 1:
+        if g[j] < 2 or g[j + 1] or g[j + 2] or g[j + 3] != 1:
             continue
         k = 0
         while j + 2 * k + 6 <= n:
-            if k and (g(j + 2 + 2 * k) != 0 or g(j + 3 + 2 * k) != 1):
+            if k and (g[j + 2 + 2 * k] != 0 or g[j + 3 + 2 * k] != 1):
                 break
-            if g(j + 4 + 2 * k) == 0 and g(j + 5 + 2 * k) == 0 and g(j + 6 + 2 * k) >= 1:
+            if g[j + 4 + 2 * k] == 0 and g[j + 5 + 2 * k] == 0 and g[j + 6 + 2 * k] >= 1:
                 return False
             k += 1
     return True

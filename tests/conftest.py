@@ -7,8 +7,9 @@ import pytest
 
 from reglinked.automata import (AlphabetError, Concat, Dfa, Empty, Epsilon,
                                 Regex, Star, Symbol, Union, _renumber_bfs,
-                                minimize, regex_symbols)
-from reglinked.partitions import Partition, partitions_of
+                                concat_all, minimize, regex_symbols)
+from reglinked.partitions import (EMPTY, Partition, oplus, partitions_of,
+                                  phi_plus)
 from reglinked.qalgebra import (BiPoly, Q as q, QSeries, RationalFunction,
                                 RfMatrix, X as x, _bipoly_from_profile,
                                 _u_mul, _u_neg, _u_sub, _u_trim)
@@ -274,6 +275,95 @@ def random_spec(rng, m=None):
 
 
 # ---------------------------------------------------------------------------
+# operations the pipeline never calls, kept for the tests
+# ---------------------------------------------------------------------------
+
+def word_regex(word):
+    return concat_all([Symbol(s) for s in word])
+
+
+def product(m1: Dfa, m2: Dfa, op) -> Dfa:
+    """Product automaton accepting op(w in L(m1), w in L(m2))."""
+    if m1.alphabet != m2.alphabet:
+        raise AlphabetError("product of automata over different alphabets")
+    return _renumber_bfs(
+        m1.alphabet,
+        lambda uv: zip(m1.transitions[uv[0]], m2.transitions[uv[1]]),
+        (m1.start, m2.start),
+        lambda uv: op(uv[0] in m1.accept, uv[1] in m2.accept))
+
+
+AND = lambda a, b: a and b
+OR = lambda a, b: a or b
+XOR = lambda a, b: a != b
+
+
+def complement(m: Dfa) -> Dfa:
+    return Dfa(m.alphabet, m.transitions,
+               m.start, frozenset(range(m.num_states)) - m.accept)
+
+
+def equivalent(m1: Dfa, m2: Dfa) -> bool:
+    """Language equality, decided through canonical minimal forms."""
+    from reglinked import automata as A
+
+    if m1.alphabet != m2.alphabet:
+        raise AlphabetError("automata over different alphabets")
+    # through the module, so that a patched automata.minimize is the one used
+    return A.minimize(m1) == A.minimize(m2)
+
+
+def isomorphism(m1: Dfa, m2: Dfa):
+    """State bijection witnessing isomorphism of two reachable DFAs, as a
+    dict m1-state -> m2-state, or None if they are not isomorphic."""
+    if m1.alphabet != m2.alphabet or m1.num_states != m2.num_states:
+        return None
+    mapping = {m1.start: m2.start}
+    queue = [m1.start]
+    while queue:
+        u = queue.pop()
+        v = mapping[u]
+        if (u in m1.accept) != (v in m2.accept):
+            return None
+        for k in range(len(m1.alphabet)):
+            a, b = m1.transitions[u][k], m2.transitions[v][k]
+            if a in mapping:
+                if mapping[a] != b:
+                    return None
+            else:
+                mapping[a] = b
+                queue.append(a)
+    if len(mapping) != m1.num_states or len(set(mapping.values())) != m1.num_states:
+        return None
+    return mapping
+
+
+def restart(m: Dfa, v: int) -> Dfa:
+    """The same machine started at v."""
+    if not 0 <= v < m.num_states:
+        raise ValueError(f"unknown state {v}")
+    return Dfa(m.alphabet, m.transitions, v, m.accept)
+
+
+def empty_dfa(alphabet) -> Dfa:
+    return Dfa(alphabet, [tuple([0] * len(tuple(alphabet)))], 0, frozenset())
+
+
+def decode(word, spec):
+    """Inverse of linked.encode on its image: assemble shifted blocks."""
+    from reglinked.linked import SpecError
+
+    out = EMPTY
+    for k, sym in enumerate(word):
+        try:
+            p = spec.pi_map[sym]
+        except KeyError:
+            raise SpecError(f"unknown symbol {sym!r}") from None
+        out = oplus(out, phi_plus(p, spec.m * k))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # independent routes kept as test-only references
 # ---------------------------------------------------------------------------
 
@@ -304,6 +394,31 @@ def encode_by_multiplicities(p, spec):
     return tuple(word)
 
 
+def member_by_full_tail(p, spec, state=None):
+    """linked.member by encoding, catching the encoding error, then running
+    the word and |Q| trivial symbols: the trivial trajectory becomes
+    periodic within |Q| steps, so this finite check decides the tail."""
+    from reglinked.linked import (BlockEncodingError,
+                                  MissingTrivialSymbolError,
+                                  build_forbidden_dfa, encode)
+
+    triv = spec.trivial_symbol
+    if triv is None:
+        raise MissingTrivialSymbolError(
+            "no symbol maps to the empty partition; padded sequences do not exist")
+    dfa = build_forbidden_dfa(spec)
+    try:
+        word = encode(p, spec)
+    except BlockEncodingError:
+        return False
+    v = dfa.start if state is None else state
+    for sym in word + (triv,) * dfa.num_states:
+        if v in dfa.accept:
+            return False
+        v = dfa.step(v, sym)
+    return v not in dfa.accept
+
+
 def rf_q_expand(rf, order):
     """Expand an x-free rational function as a truncated q-series; the
     denominator needs a nonzero constant term."""
@@ -316,11 +431,9 @@ def rf_q_expand(rf, order):
 
 def equivalent_via_product(m1, m2):
     """Language equality as emptiness of the symmetric difference."""
-    from reglinked import automata as A
-
     if m1.alphabet != m2.alphabet:
-        raise A.AlphabetError("automata over different alphabets")
-    diff = A.product(m1, m2, A.XOR)
+        raise AlphabetError("automata over different alphabets")
+    diff = product(m1, m2, XOR)
     return not any(v in diff.accept for v in diff.reachable())
 
 
@@ -507,10 +620,10 @@ def min_forbidden_prefixes_by_products(m, v, x_pattern):
         raise ValueError("state is not reachable")
     k = len(m.alphabet)
     sigma = A.Dfa(m.alphabet, [(1,) * k, (2,) * k, (2,) * k], 0, {1})
-    mv = A.restart(m, v)
-    almost = dfa_concat(A.complement(mv), sigma)
-    base = A.product(mv, almost, A.AND)
-    return A.minimize(A.product(base, A.complement(x_pattern), A.AND))
+    mv = restart(m, v)
+    almost = dfa_concat(complement(mv), sigma)
+    base = product(mv, almost, AND)
+    return A.minimize(product(base, complement(x_pattern), AND))
 
 
 def state_for_class_by_equivalence(spec, extra_prefixes):
@@ -525,7 +638,7 @@ def state_for_class_by_equivalence(spec, extra_prefixes):
                 A.Concat(extra_prefixes, istar)), spec.alphabet)
     dfa = build_forbidden_dfa(spec)
     for v in range(dfa.num_states):
-        if v not in dfa.accept and A.equivalent(A.restart(dfa, v), target):
+        if v not in dfa.accept and equivalent(restart(dfa, v), target):
             return v
     return None
 

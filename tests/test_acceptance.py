@@ -15,8 +15,8 @@ from conftest import (CLASS_PREFIXES, CLASS_STATE, GOLDEN_DFA_ACCEPT,
                       GOLDEN_SYSTEM_ROWS, NO_SWAP_ORDER, all_words,
                       random_spec, regex_match_words)
 from reglinked import linked, murraymiller as mm, partitions, qseries
-from reglinked.automata import (Dfa, dfa_from_regex, equivalent, isomorphism,
-                                minimize, parse_regex, restart)
+from conftest import equivalent, isomorphism, restart
+from reglinked.automata import Dfa, dfa_from_regex, minimize, parse_regex
 from reglinked.murraymiller import QDifferenceEquation
 from reglinked.qalgebra import QSeries, RationalFunction, RfMatrix
 from reglinked.qseries import XSeries

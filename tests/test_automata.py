@@ -1,19 +1,24 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import (GOLDEN_DFA_ACCEPT, GOLDEN_DFA_TABLE, EpsNfa, all_words,
-                      check_dfa_from_regex_calls, dfa_concat,
-                      dfa_from_regex_by_subsets, equivalent_via_product,
-                      min_forbidden_prefixes_by_products, regex_match_words,
-                      subset_construction, table_filling_minimize, to_eps_nfa)
+from conftest import (AND, GOLDEN_DFA_ACCEPT, GOLDEN_DFA_TABLE, OR, EpsNfa,
+                      all_words, check_dfa_from_regex_calls, complement,
+                      dfa_concat, dfa_from_regex_by_subsets, empty_dfa,
+                      equivalent, equivalent_via_product, isomorphism,
+                      min_forbidden_prefixes_by_products, product,
+                      regex_match_words, restart, subset_construction,
+                      table_filling_minimize, to_eps_nfa, word_regex)
 from reglinked import automata as A
 from reglinked.automata import (
-    AND, OR, AlphabetError, Concat, Dfa, Empty, Epsilon, RegexSyntaxError,
-    Star, Symbol, Union, complement, dfa_from_regex, dfa_from_text,
-    dfa_to_text, empty_dfa, equivalent, isomorphism,
-    min_forbidden_prefixes, minimize, parse_regex, product, restart,
-    union_all,
+    AlphabetError, Concat, Dfa, Empty, Epsilon, RegexSyntaxError, Star,
+    Symbol, Union, dfa_from_regex, dfa_from_text, dfa_to_text,
+    min_forbidden_prefixes, minimize, parse_regex, union_all,
 )
 
 DIGITS = ("0", "1", "2", "3", "4")
@@ -88,6 +93,36 @@ def test_parse_multicharacter_symbols_need_delimiters():
     assert r == Union(Concat(Symbol("aa"), Symbol("b")), Symbol("b"))
     r2 = parse_regex("aa,b*", alpha)
     assert r2 == Concat(Symbol("aa"), Star(Symbol("b")))
+
+
+_PICKLE_IN_CHILD = """
+import pickle, sys
+from reglinked.automata import parse_regex
+r = parse_regex(sys.argv[1], "01234")
+print(pickle.dumps(r).hex(), hash(r))
+"""
+
+
+def test_regex_pickle_rebuilds_its_hash_under_another_hash_seed():
+    # a node's hash is computed once and hashes strings, so it differs
+    # between processes with different string-hash seeds; a node pickled
+    # in another process must not carry that process's hash
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = str(Path(A.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    text = NANDI_X
+    child = subprocess.run([sys.executable, "-c", _PICKLE_IN_CHILD, text],
+                           env=env, capture_output=True, check=True, text=True)
+    dumped, child_hash = child.stdout.split()
+    loaded = pickle.loads(bytes.fromhex(dumped))
+    fresh = parse_regex(text, DIGITS)
+    assert int(child_hash) != hash(fresh)  # the seeds really differ
+    assert loaded == fresh and loaded is not fresh
+    assert hash(loaded) == hash(fresh)
+    assert {fresh: "found"}.get(loaded) == "found"
+    assert {loaded: "found"}.get(fresh) == "found"
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +448,7 @@ def test_min_forbidden_prefixes_minimality(state, prefixes):
     assert short_words
     for w in short_words:
         without = product(dfa_from_regex(prefix_regex, DIGITS),
-                          complement(dfa_from_regex(A.word_regex(w), DIGITS)),
+                          complement(dfa_from_regex(word_regex(w), DIGITS)),
                           AND)
         weakened = product(nandi_pattern_dfa(),
                            dfa_concat(without, istar_dfa), OR)

@@ -42,7 +42,8 @@ def test_dfa_prefixes(capsys):
     code, out, _ = run(capsys, "dfa", "--format", "structured", "prefixes", "q7")
     assert code == 0
     got = dfa_from_text(out)
-    from reglinked.automata import dfa_from_regex, equivalent, parse_regex
+    from conftest import equivalent
+    from reglinked.automata import dfa_from_regex, parse_regex
     want = dfa_from_regex(parse_regex("3U4", nandi_spec().alphabet),
                           nandi_spec().alphabet)
     assert equivalent(got, want)

@@ -11,14 +11,14 @@ import pytest
 from conftest import (CLASS_PREFIXES, CLASS_STATE, GOLDEN_DFA_ACCEPT,
                       GOLDEN_DFA_TABLE, GOLDEN_SYSTEM_ROWS,
                       brute_partition_counts, check_dfa_from_regex_calls,
-                      encode_by_multiplicities, fixed_point_series,
-                      random_spec, state_for_class_by_equivalence,
-                      trivial_walk_survival)
+                      decode, encode_by_multiplicities, fixed_point_series,
+                      isomorphism, member_by_full_tail, random_spec,
+                      state_for_class_by_equivalence, trivial_walk_survival)
 from reglinked import linked
-from reglinked.automata import Dfa, Empty, Symbol, isomorphism, parse_regex
+from reglinked.automata import Dfa, Empty, Symbol, parse_regex
 from reglinked.linked import (
     BlockEncodingError, LpiData, MissingTrivialSymbolError, QDifferenceSystem,
-    SpecError, build_forbidden_dfa, decode, derive_system, encode, load_spec,
+    SpecError, build_forbidden_dfa, derive_system, encode, load_spec,
     lpi_to_spec, member, nandi_spec, nandi_spec_path, parse_spec_text,
     series_from_system, state_for_class,
 )
@@ -137,13 +137,24 @@ def test_encode_examples():
         encode(Partition((2, 2, 2)), spec)
 
 
-def test_encode_matches_multiplicity_route():
+def test_encode_names_the_lowest_bad_offset():
+    # blocks 0 and 1 both spell (2, 2, 2), which pi does not reach
+    with pytest.raises(BlockEncodingError) as err:
+        encode(Partition((4, 4, 4, 2, 2, 2)), nandi_spec())
+    assert str(err.value) == "block [2, 2, 2] at offset 0 not in the image of pi"
+
+
+def _reference_specs():
+    """The shipped spec, the difference-2 spec and 20 seeded random specs."""
     diff_two = lpi_to_spec(
         LpiData(1, (EMPTY, Partition((1,))), ((0, 1), (0, 1)), (1, 2)))
     rng = random.Random(1729)
-    specs = [nandi_spec(), diff_two] + [random_spec(rng) for _ in range(20)]
+    return [nandi_spec(), diff_two] + [random_spec(rng) for _ in range(20)]
+
+
+def test_encode_matches_multiplicity_route():
     outcomes = set()
-    for spec in specs:
+    for spec in _reference_specs():
         for n in range(15):
             for p in partitions_of(n):
                 routes = []
@@ -419,6 +430,33 @@ def test_member_matches_predicates():
             assert member(p, spec) == satisfies_nandi(p)
             for a in (1, 2, 3):
                 assert member(p, spec, CLASS_STATE[a]) == in_class(p, a)
+
+
+def test_member_matches_full_tail_reference():
+    unencodable = 0
+    longest_tail = 0  # distinct states on a trivial trajectory before it repeats
+    for spec in _reference_specs():
+        dfa = build_forbidden_dfa(spec)
+        states = [v for v in range(dfa.num_states) if v not in dfa.accept]
+        triv = spec.trivial_symbol
+        for v in states:
+            seen = []
+            u = v
+            while u not in seen:
+                seen.append(u)
+                u = dfa.step(u, triv)
+            longest_tail = max(longest_tail, len(seen))
+        for n in range(15):
+            for p in partitions_of(n):
+                try:
+                    encode(p, spec)
+                except BlockEncodingError:
+                    unencodable += 1
+                for v in states:
+                    assert member(p, spec, v) == member_by_full_tail(p, spec, v), \
+                        (spec, p, v)
+    assert unencodable
+    assert longest_tail >= 2
 
 
 def test_member_requires_trivial_symbol():
