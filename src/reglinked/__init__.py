@@ -10,9 +10,9 @@ against brute-force enumeration, infinite products and double sums.
 """
 
 from .partitions import (
-    EMPTY, MultiplicityVector, Partition, from_multiplicities, in_class, oplus,
-    partitions_of, phi_plus, satisfies_nandi, satisfies_nandi_mult,
-    to_multiplicities, weight_monomial,
+    EMPTY, MultiplicityVector, Partition, from_multiplicities, in_class,
+    partitions_of, satisfies_nandi, satisfies_nandi_mult, to_multiplicities,
+    weight_monomial,
 )
 from .qalgebra import (
     BiPoly, QSeries, Q, RationalFunction, RfMatrix, X, parse_rational,

@@ -1,6 +1,6 @@
-"""Integer partitions, the mod-14 difference conditions as executable
-predicates (in part form and in multiplicity form), the prefix-pruned
-enumeration walk, and the block-shift maps used by the encoders.
+"""Integer partitions and their multiplicity vectors, the mod-14
+difference conditions as executable predicates (in part form and in
+multiplicity form), and the prefix-pruned enumeration walk.
 """
 
 from __future__ import annotations
@@ -80,12 +80,6 @@ class MultiplicityVector:
     def support_bound(self):
         return len(self.mults)
 
-    def shifted(self, k):
-        """Shift right by k (k > 0) or left by -k (k < 0)."""
-        if k >= 0:
-            return MultiplicityVector((0,) * k + self.mults)
-        return MultiplicityVector(self.mults[-k:])
-
     def __eq__(self, other):
         return isinstance(other, MultiplicityVector) and self.mults == other.mults
 
@@ -110,18 +104,6 @@ def from_multiplicities(f: MultiplicityVector) -> Partition:
     for i in range(len(f.mults), 0, -1):
         parts.extend([i] * f.mults[i - 1])
     return Partition(parts)
-
-
-def phi_plus(p: Partition, k: int = 1) -> Partition:
-    """Add k to every part (shift the multiplicity vector right by k)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return Partition(tuple(x + k for x in p.parts))
-
-
-def oplus(a: Partition, b: Partition) -> Partition:
-    """Multiset union of parts, reordered weakly decreasing."""
-    return Partition(sorted(a.parts + b.parts, reverse=True))
 
 
 def weight_monomial(p: Partition):

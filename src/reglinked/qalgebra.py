@@ -3,7 +3,8 @@ gcd and exact division (one primitive pseudo-remainder sequence and one
 long division, each written once over a coefficient ring: Z for
 polynomials in q, Z[q] for polynomials in x), reduced rational functions,
 a matrix container for them, and truncated q-series with exact rational
-coefficients.
+coefficients, which multiply and divide by a Pochhammer product one
+linear pass per factor.
 
 No floating point anywhere.  Rational functions are kept in a canonical
 reduced form (gcd 1, denominator with positive leading coefficient in the
@@ -594,8 +595,9 @@ class QSeries:
     """Power series in q truncated at an explicit order T.
 
     Coefficients are exact (int or Fraction).  They stay int through sums,
-    products and the inverse of a series whose constant term is +1 or -1,
-    which covers every Pochhammer product in this library.  Arithmetic
+    products, `mul_poch`/`div_poch` with an integer c and factors of
+    positive degree, and the inverse of a series whose constant term is +1
+    or -1; `invert` is the one general division.  Arithmetic
     never reads beyond the truncation order; binary operations carry the
     minimum of the operand orders.  The order is per value, never implicit
     global state.
@@ -690,12 +692,27 @@ class QSeries:
             raise ValueError("negative q-shift on a series")
         return QSeries([0] * e + self.coeffs, self.order)
 
-    def mul_one_plus(self, c, e):
-        """Multiply by (1 + c*q^e) in place-free fashion; e >= 1."""
+    def mul_poch(self, c, start, step, n=None):
+        """Multiply by prod_{0<=j<n} (1 + c*q^(start + j*step)), the
+        infinite product when n is None: one pass per factor, from the top
+        coefficient down (so a factor at q^0 scales by 1 + c)."""
         out = list(self.coeffs)
-        if c and e <= self.order:
-            for n in range(self.order, e - 1, -1):
-                out[n] += c * self.coeffs[n - e]
+        for e in _poch_exponents(c, start, step, n, self.order):
+            for k in range(self.order, e - 1, -1):
+                out[k] += c * out[k - e]
+        return QSeries(out, self.order)
+
+    def div_poch(self, c, start, step, n=None):
+        """Divide by the product of `mul_poch`: one pass per factor, from
+        the bottom coefficient up, so each pass reads the coefficients it
+        has already divided."""
+        out = list(self.coeffs)
+        for e in _poch_exponents(c, start, step, n, self.order):
+            if e:
+                for k in range(e, self.order + 1):
+                    out[k] -= c * out[k - e]
+            else:  # the constant 1 + c; dividing by -1 keeps an int an int
+                out = [a * (-1 if c == -2 else Fraction(1, 1 + c)) for a in out]
         return QSeries(out, self.order)
 
     def invert(self):
@@ -720,12 +737,6 @@ class QSeries:
                 s += c * out[n - k]
             out[n] = -inv0 * s
         return QSeries([_simplify_coeff(c) for c in out], self.order)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(1, 1) / other
-            return QSeries([_simplify_coeff(c * f) for c in self.coeffs], self.order)
-        return self * other.invert()
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
@@ -756,43 +767,37 @@ def _simplify_coeff(c):
     return c
 
 
-def product_series(factors, order):
-    """Product of (1 + c*q^e) over the given (c, e) pairs, truncated.
-
-    Factors with e > order are identically 1 at this truncation and are
-    skipped; a factor with e == 0 scales the whole series by (1 + c).
-    """
-    out = QSeries.one(order)
-    for c, e in factors:
-        if e > order:
-            continue
-        if e == 0:
-            out = out * (1 + c)
-        else:
-            out = out.mul_one_plus(c, e)
-    return out
+def _poch_exponents(c, start, step, n, order):
+    """The exponents start + j*step of the factors (1 + c*q^e) of a
+    Pochhammer product: j < n, or every factor that reaches q^order when
+    n is None.  Empty when c is 0, as every factor is then 1."""
+    if n is None:
+        if step <= 0:
+            raise ValueError("step must be positive")
+        if start <= 0:
+            raise ValueError("infinite products need exponents >= 1")
+        exponents = range(start, order + 1, step)
+    else:
+        exponents = (start + j * step for j in range(n))
+    return exponents if c else ()
 
 
 def poch_inf(c, start, step, order):
     """Truncation of prod_{j>=0} (1 + c*q^(start + j*step))."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if start <= 0:
-        raise ValueError("infinite products need exponents >= 1")
-    return product_series(((c, e) for e in range(start, order + 1, step)), order)
+    return QSeries.one(order).mul_poch(c, start, step)
 
 
 def poch_finite(c, start, step, n, order):
     """Truncation of prod_{0<=j<n} (1 + c*q^(start + j*step))."""
-    return product_series(((c, start + j * step) for j in range(n)), order)
+    return QSeries.one(order).mul_poch(c, start, step, n)
 
 
 def pochhammer_inverse(residues, modulus, order):
     """Coefficients of 1 / prod_i (q^{a_i}; q^modulus)_inf through q^order."""
-    prod = QSeries.one(order)
+    out = QSeries.one(order)
     for a in residues:
-        prod = prod * poch_inf(-1, a, modulus, order)
-    return prod.invert()
+        out = out.div_poch(-1, a, modulus)
+    return out
 
 
 def rf_x_coefficient_series(rf: RationalFunction, order: int) -> dict:

@@ -1,7 +1,8 @@
 """Solving q-difference equations as coefficient recurrences, the
 G/H/I transform chain with its closed form, evaluation at x = 1, double
 sums, infinite products, and the classical single-sum identity checks —
-all as exact truncated series.
+all as exact truncated series.  Every quotient by a Pochhammer product,
+in q or in x, divides by it one factor at a time.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from . import murraymiller as _mm
 from .automata import parse_regex
 from .murraymiller import QDifferenceEquation
 from .qalgebra import (
-    BiPoly, QSeries, RationalFunction, poch_finite, poch_inf,
-    pochhammer_inverse, product_series, rf_x_coefficient_series,
+    BiPoly, QSeries, RationalFunction, pochhammer_inverse,
+    rf_x_coefficient_series,
 )
 
 
@@ -64,36 +65,6 @@ class XSeries:
             return QSeries.zero(self.q_order)
         return self.coeffs[M]
 
-    def __mul__(self, other):
-        L = min(self.x_order, other.x_order)
-        t = min(self.q_order, other.q_order)
-        out = []
-        for M in range(L + 1):
-            acc = QSeries.zero(t)
-            for k in range(M + 1):
-                a = self.coeffs[k]
-                b = other.coeffs[M - k]
-                if a.is_zero() or b.is_zero():
-                    continue
-                acc = acc + a * b
-            out.append(acc)
-        return XSeries(out)
-
-    def __truediv__(self, other):
-        """Long division; the divisor's x^0 coefficient must be invertible."""
-        L = min(self.x_order, other.x_order)
-        t = min(self.q_order, other.q_order)
-        inv0 = other.coeffs[0].truncate(t).invert()
-        out = []
-        for M in range(L + 1):
-            acc = self.coeffs[M].truncate(t)
-            for k in range(M):
-                if out[k].is_zero():
-                    continue
-                acc = acc - out[k] * other.coeffs[M - k]
-            out.append(acc * inv0)
-        return XSeries(out)
-
     def mul_one_plus_x(self, c, e):
         """Multiply by (1 + c * x * q^e)."""
         out = [self.coeffs[0]]
@@ -101,23 +72,18 @@ class XSeries:
             out.append(self.coeffs[M] + self.coeffs[M - 1].shift(e) * c)
         return XSeries(out)
 
+    def div_one_plus_x(self, c, e):
+        """Divide by (1 + c * x * q^e)."""
+        out = [self.coeffs[0]]
+        for M in range(1, self.x_order + 1):
+            out.append(self.coeffs[M] - out[M - 1].shift(e) * c)
+        return XSeries(out)
+
     def __eq__(self, other):
         return isinstance(other, XSeries) and self.coeffs == other.coeffs
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coeffs)
-
-
-def x_poch_even(x_order, q_order):
-    """(1 - x)(1 - x q^2)(1 - x q^4) * ... as an XSeries.
-
-    Factors whose q-exponent exceeds the q-order only touch coefficients
-    beyond the truncation and are dropped.
-    """
-    out = XSeries.one(x_order, q_order)
-    for e in range(0, q_order + 1, 2):
-        out = out.mul_one_plus_x(-1, e)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -258,27 +224,30 @@ def transform_chain(a: int, x_order: int, q_order: int) -> TransformChain:
     s, _t = CLASS_ST[a]
     eq = nandi_equation(a)
     F = solve_equation(eq, x_order, q_order)
-    poch = x_poch_even(x_order, q_order)
-    G = F / poch
+    # the factors (1 - x q^e) of (x;q^2)_inf with e > q_order are 1 here
+    evens = range(0, q_order + 1, 2)
+    G = F
+    for e in evens:
+        G = G.div_one_plus_x(-1, e)
     g_eq = g_equation(eq)
     if not equation_residual(QDifferenceEquation(eq.step, tuple(g_eq)), G).is_zero():
         raise ArithmeticError("transformed G-series does not satisfy its recurrence")
-    H = XSeries([G.coeffs[M] / poch_finite(1, 1 + s, 1, 2 * M, q_order)
+    H = XSeries([G.coeffs[M].div_poch(1, 1 + s, 1, 2 * M)
                  for M in range(G.x_order + 1)])
     h_eq = h_equation(g_eq, s, eq.step)
     if not equation_residual(QDifferenceEquation(eq.step, tuple(h_eq)), H).is_zero():
         raise ArithmeticError("transformed H-series does not satisfy its recurrence")
-    I = H * poch
+    I = H
+    for e in evens:
+        I = I.mul_one_plus_x(-1, e)
     return TransformChain(F, G, H, I)
 
 
 def closed_form_i(a: int, M: int, order: int) -> QSeries:
     """(-1)^M q^(M(M+2t)) / ((-q^(1+s);q)_(2M) (q^2;q^2)_M), truncated."""
     s, t = CLASS_ST[a]
-    e = M * (M + 2 * t)
-    num = QSeries.monomial((-1) ** M, e, order)
-    den = poch_finite(1, 1 + s, 1, 2 * M, order) * poch_finite(-1, 2, 2, M, order)
-    return num * den.invert()
+    num = QSeries.monomial((-1) ** M, M * (M + 2 * t), order)
+    return num.div_poch(1, 1 + s, 1, 2 * M).div_poch(-1, 2, 2, M)
 
 
 def g_equation(eq: QDifferenceEquation):
@@ -309,55 +278,38 @@ def g_equation(eq: QDifferenceEquation):
 
 
 def h_equation(r_coeffs, s: int, step: int):
-    """x-form of the recurrence satisfied by h_M = g_M / (-q^(1+s);q)_(2M).
+    """x-form of the recurrence satisfied by h_M = g_M / (-q^(1+s);q)_(step*M).
 
-    Writes the G-recurrence in the variable z = q^M, multiplies the d-th
-    tap by the finite product turning the g-values into h-values relative
-    to the deepest tap, and converts back to an x-form; the overall q-power
-    is scaled to clear negative exponents.
+    The x^d part of the G-recurrence is a tap on g_(M-d), and D is the
+    deepest tap.  Turning g_(M-d) into h_(M-d) relative to h_(M-D)
+    multiplies that part by the step*(D-d) factors
+    (1 + q^(1+s+t-step*(D-d)) q^(step*M)), t = 0, 1, ...; in x-form each
+    factor copies the part from shift i to shift i + 1, raising its
+    q-power by 1+s+t-step*(D-d).  The overall q-power is scaled to clear
+    negative exponents.
     """
     if not all(r.is_polynomial() for r in r_coeffs):
         raise ValueError("G-equation coefficients must be polynomial")
-    profiles = [r.num.x_profile() for r in r_coeffs]
-    D = max(len(prof) for prof in profiles) - 1
-    taps = []  # per d: dict (z_exp, q_exp) -> int, q_exp may be negative
-    for d in range(D + 1):
-        acc = {}
-        for i, prof in enumerate(profiles):
-            for j, c in enumerate(prof[d] if d < len(prof) else ()):
-                key = (step * i, j - step * i * d)
-                acc[key] = acc.get(key, 0) + c
-        # multiply by prod_{t=0}^{step*(D-d)-1} (1 + q^(1+s-step*D+t) z^step)
-        for t in range(step * (D - d)):
-            e = 1 + s - step * D + t
-            nxt = {}
-            for (ze, qe), c in acc.items():
-                nxt[(ze, qe)] = nxt.get((ze, qe), 0) + c
-                k2 = (ze + step, qe + e)
-                nxt[k2] = nxt.get(k2, 0) + c
-            acc = nxt
-        taps.append({k: v for k, v in acc.items() if v})
-    # assemble x-form: a term q^c z^(step*i) on tap d contributes
-    # x^d q^(c + step*i*d) to the coefficient of H(x q^(step*i))
-    raw = {}
-    for d, acc in enumerate(taps):
-        for (ze, qe), c in acc.items():
-            if ze % step:
-                raise ValueError("unexpected z-power in the transformed recurrence")
-            i = ze // step
-            key = (i, d, qe + step * i * d)
-            raw[key] = raw.get(key, 0) + c
-    low = min((qe for (_, _, qe) in raw), default=0)
-    shift = -low if low < 0 else 0
-    n_shifts = max((i for (i, _, _) in raw), default=0)
-    coeffs = []
-    for i in range(n_shifts + 1):
-        terms = {}
-        for (ii, d, qe), c in raw.items():
-            if ii == i:
-                terms[(d, qe + shift)] = terms.get((d, qe + shift), 0) + c
-        coeffs.append(RationalFunction(BiPoly(terms)))
-    return coeffs
+    D = max(r.num.degree_x() for r in r_coeffs)
+    parts = [{} for _ in range(D + 1)]  # per d: (shift, q-power) -> coefficient
+    for i, r in enumerate(r_coeffs):
+        for (d, j), c in r.num.terms.items():
+            parts[d][(i, j)] = c
+    raw = {}  # (shift, d, q-power) -> coefficient; q-powers may be negative
+    for d, part in enumerate(parts):
+        n = step * (D - d)
+        for t in range(n):
+            nxt = dict(part)
+            for (i, j), c in part.items():
+                key = (i + 1, j + 1 + s + t - n)
+                nxt[key] = nxt.get(key, 0) + c
+            part = nxt
+        raw.update(((i, d, j), c) for (i, j), c in part.items() if c)
+    shift = max(0, -min((j for (_, _, j) in raw), default=0))
+    coeffs = [{} for _ in range(max((i for (i, _, _) in raw), default=0) + 1)]
+    for (i, d, j), c in raw.items():
+        coeffs[i][(d, j + shift)] = c
+    return [RationalFunction(BiPoly(terms)) for terms in coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +323,8 @@ def g_closed_form(a: int, L: int, order: int) -> QSeries:
     for M in range(L + 1):
         if M * (M + 2 * t) > order:
             break
-        inv = poch_finite(-1, 2, 2, L - M, order).invert()
-        acc = acc + closed_form_i(a, M, order) * inv
-    return acc * poch_finite(1, 1 + s, 1, 2 * L, order)
+        acc = acc + closed_form_i(a, M, order).div_poch(-1, 2, 2, L - M)
+    return acc.mul_poch(1, 1 + s, 1, 2 * L)
 
 
 def g_limit_check(a: int, L_max: int, order: int) -> QSeries:
@@ -389,8 +340,8 @@ def g_limit_check(a: int, L_max: int, order: int) -> QSeries:
     if g_prev.truncate(t_stab) != g_last.truncate(t_stab):
         raise StabilizationError(
             f"g_L not stabilized through q^{t_stab} at L = {L_max}")
-    value = (poch_inf(-1, 2, 2, order) * g_last).truncate(t_stab)
-    rhs = poch_inf(1, 1, 1, t_stab) * _slater_sum(s, t, t_stab)
+    value = g_last.truncate(t_stab).mul_poch(-1, 2, 2)
+    rhs = _slater_sum(s, t, t_stab).mul_poch(1, 1, 1)
     if value != rhs:
         raise StabilizationError("limit value disagrees with the single-sum form")
     return value
@@ -412,15 +363,14 @@ def double_sum(a: int, order: int) -> QSeries:
     while True:
         if i * (i - 1) // 2 + (1 + s) * i > order:
             break
-        inv_i = poch_finite(-1, 1, 1, i, order).invert()
         j = 0
         while True:
             e = (i * (i - 1) // 2 + j * (j - 1) + 2 * i * j
                  + (1 + s) * i + (1 + 2 * t) * j)
             if e > order:
                 break
-            inv_j = poch_finite(-1, 2, 2, j, order).invert()
-            acc = acc + QSeries.monomial((-1) ** j, e, order) * inv_i * inv_j
+            term = QSeries.monomial((-1) ** j, e, order)
+            acc = acc + term.div_poch(-1, 1, 1, i).div_poch(-1, 2, 2, j)
             j += 1
         i += 1
     return acc
@@ -438,13 +388,12 @@ def euler_series(which: str, x_value, order: int):
         e = n * k + (n * (n - 1) // 2 if which == "B" else 0)
         if n and (c == 0 or e > order):
             break
-        term = QSeries.monomial(c ** n, e, order) * poch_finite(-1, 1, 1, n, order).invert()
-        lhs = lhs + term
+        lhs = lhs + QSeries.monomial(c ** n, e, order).div_poch(-1, 1, 1, n)
         n += 1
     if which == "A":
-        rhs = product_series(((-c, k + j) for j in range(order + 1)), order).invert()
+        rhs = QSeries.one(order).div_poch(-c, k, 1, order + 1)
     elif which == "B":
-        rhs = product_series(((c, k + j) for j in range(order + 1)), order)
+        rhs = QSeries.one(order).mul_poch(c, k, 1, order + 1)
     else:
         raise ValueError("which must be 'A' or 'B'")
     return lhs, rhs
@@ -457,12 +406,12 @@ def euler_check(which: str, x_value, order: int) -> bool:
 
 
 def _slater_sum(s: int, t: int, order: int) -> QSeries:
-    """sum_n (-1)^n q^(n(n+2t)) / ((q;q)_(2n+s) (q^2;q^2)_n), truncated."""
+    """sum_n (-1)^n q^(n(n+2t)) / ((-q;q)_(2n+s) (q^2;q^2)_n), truncated."""
     acc = QSeries.zero(order)
     n = 0
     while n * (n + 2 * t) <= order:
-        den = poch_finite(1, 1, 1, 2 * n + s, order) * poch_finite(-1, 2, 2, n, order)
-        acc = acc + QSeries.monomial((-1) ** n, n * (n + 2 * t), order) * den.invert()
+        term = QSeries.monomial((-1) ** n, n * (n + 2 * t), order)
+        acc = acc + term.div_poch(1, 1, 1, 2 * n + s).div_poch(-1, 2, 2, n)
         n += 1
     return acc
 
@@ -472,12 +421,10 @@ def slater_series(bst, order: int):
     {(3,0,0), (1,0,1), (5,1,1)}."""
     b, s, t = bst
     lhs = _slater_sum(s, t, order)
-    rhs = (poch_inf(-1, 1, 2, order)
-           * poch_inf(-1, 2, 2, order).invert()
-           * poch_inf(-1, 2 * b, 14, order)
-           * poch_inf(-1, 14 - 2 * b, 14, order)
-           * poch_inf(-1, 14, 14, order)
-           * (poch_inf(-1, b, 14, order) * poch_inf(-1, 14 - b, 14, order)).invert())
+    rhs = (QSeries.one(order).mul_poch(-1, 1, 2).div_poch(-1, 2, 2)
+           .mul_poch(-1, 2 * b, 14).mul_poch(-1, 14 - 2 * b, 14)
+           .mul_poch(-1, 14, 14)
+           .div_poch(-1, b, 14).div_poch(-1, 14 - b, 14))
     return lhs, rhs
 
 
@@ -498,17 +445,15 @@ def remark_single_sum_series(a: int, order: int):
         e = i * (i - 1) // 2 + (1 + s) * i
         if e > order:
             break
-        den = poch_finite(-1, 1, 1, i, order) * poch_finite(-1, 1, 2, i + t, order)
-        single = single + QSeries.monomial(1, e, order) * den.invert()
-    lhs, rhs = double_sum(a, order), poch_inf(-1, 1, 2, order) * single
+        term = QSeries.monomial(1, e, order)
+        single = single + term.div_poch(-1, 1, 1, i).div_poch(-1, 1, 2, i + t)
+    lhs, rhs = double_sum(a, order), single.mul_poch(-1, 1, 2)
     if lhs != rhs:
         return lhs, rhs
-    prod = (poch_inf(-1, a, 7, order)
-            * poch_inf(-1, 7 - a, 7, order)
-            * poch_inf(-1, 7, 7, order)
-            * poch_inf(-1, 7 - 2 * a, 14, order)
-            * poch_inf(-1, 7 + 2 * a, 14, order)
-            * (poch_inf(-1, 1, 1, order) * poch_inf(-1, 1, 2, order)).invert())
+    prod = (QSeries.one(order).mul_poch(-1, a, 7).mul_poch(-1, 7 - a, 7)
+            .mul_poch(-1, 7, 7).mul_poch(-1, 7 - 2 * a, 14)
+            .mul_poch(-1, 7 + 2 * a, 14)
+            .div_poch(-1, 1, 1).div_poch(-1, 1, 2))
     return single, prod
 
 

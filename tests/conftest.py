@@ -8,11 +8,12 @@ import pytest
 from reglinked.automata import (AlphabetError, Concat, Dfa, Empty, Epsilon,
                                 Regex, Star, Symbol, Union, _renumber_bfs,
                                 concat_all, minimize, regex_symbols)
-from reglinked.partitions import (EMPTY, Partition, oplus, partitions_of,
-                                  phi_plus)
+from reglinked.partitions import (EMPTY, MultiplicityVector, Partition,
+                                  partitions_of)
 from reglinked.qalgebra import (BiPoly, Q as q, QSeries, RationalFunction,
                                 RfMatrix, X as x, _bipoly_from_profile,
                                 _u_mul, _u_neg, _u_sub, _u_trim)
+from reglinked.qseries import XSeries
 
 ONE = BiPoly.const(1)
 
@@ -159,6 +160,25 @@ def class_extra_by_scan(parts, a) -> bool:
 # ---------------------------------------------------------------------------
 # partition maps and the block-shift stability check
 # ---------------------------------------------------------------------------
+
+def shifted(f: MultiplicityVector, k) -> MultiplicityVector:
+    """Shift right by k (k > 0) or left by -k (k < 0)."""
+    if k >= 0:
+        return MultiplicityVector((0,) * k + f.mults)
+    return MultiplicityVector(f.mults[-k:])
+
+
+def phi_plus(p: Partition, k: int = 1) -> Partition:
+    """Add k to every part (shift the multiplicity vector right by k)."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return Partition(tuple(x + k for x in p.parts))
+
+
+def oplus(a: Partition, b: Partition) -> Partition:
+    """Multiset union of parts, reordered weakly decreasing."""
+    return Partition(sorted(a.parts + b.parts, reverse=True))
+
 
 def phi_minus(p: Partition, k: int = 1) -> Partition:
     """Subtract k from every part, discarding parts <= k."""
@@ -1001,6 +1021,134 @@ def bipoly_div_exact_by_profiles(a, b):
     if any(ql for ql in pa):
         raise ArithmeticError("inexact bivariate division")
     return _bipoly_from_profile(out)
+
+
+# ---------------------------------------------------------------------------
+# Pochhammer and x-series references: products built factor by factor and
+# then inverted, general x-series products and long division, and the
+# H-equation built in the variable z = q^M
+# ---------------------------------------------------------------------------
+
+def mul_one_plus(s, c, e):
+    """Multiply by (1 + c*q^e) in place-free fashion; e >= 1."""
+    out = list(s.coeffs)
+    if c and e <= s.order:
+        for n in range(s.order, e - 1, -1):
+            out[n] += c * s.coeffs[n - e]
+    return QSeries(out, s.order)
+
+
+def product_series(factors, order):
+    """Product of (1 + c*q^e) over the given (c, e) pairs, truncated.
+
+    Factors with e > order are identically 1 at this truncation and are
+    skipped; a factor with e == 0 scales the whole series by (1 + c).
+    """
+    out = QSeries.one(order)
+    for c, e in factors:
+        if e > order:
+            continue
+        if e == 0:
+            out = out * (1 + c)
+        else:
+            out = mul_one_plus(out, c, e)
+    return out
+
+
+def xseries_mul(a, b):
+    L = min(a.x_order, b.x_order)
+    t = min(a.q_order, b.q_order)
+    out = []
+    for M in range(L + 1):
+        acc = QSeries.zero(t)
+        for k in range(M + 1):
+            u = a.coeffs[k]
+            v = b.coeffs[M - k]
+            if u.is_zero() or v.is_zero():
+                continue
+            acc = acc + u * v
+        out.append(acc)
+    return XSeries(out)
+
+
+def xseries_div(a, b):
+    """Long division; the divisor's x^0 coefficient must be invertible."""
+    L = min(a.x_order, b.x_order)
+    t = min(a.q_order, b.q_order)
+    inv0 = b.coeffs[0].truncate(t).invert()
+    out = []
+    for M in range(L + 1):
+        acc = a.coeffs[M].truncate(t)
+        for k in range(M):
+            if out[k].is_zero():
+                continue
+            acc = acc - out[k] * b.coeffs[M - k]
+        out.append(acc * inv0)
+    return XSeries(out)
+
+
+def x_poch_even(x_order, q_order):
+    """(1 - x)(1 - x q^2)(1 - x q^4) * ... as an XSeries.
+
+    Factors whose q-exponent exceeds the q-order only touch coefficients
+    beyond the truncation and are dropped.
+    """
+    out = XSeries.one(x_order, q_order)
+    for e in range(0, q_order + 1, 2):
+        out = out.mul_one_plus_x(-1, e)
+    return out
+
+
+def h_equation_by_z_form(r_coeffs, s: int, step: int):
+    """x-form of the recurrence satisfied by h_M = g_M / (-q^(1+s);q)_(2M).
+
+    Writes the G-recurrence in the variable z = q^M, multiplies the d-th
+    tap by the finite product turning the g-values into h-values relative
+    to the deepest tap, and converts back to an x-form; the overall q-power
+    is scaled to clear negative exponents.
+    """
+    if not all(r.is_polynomial() for r in r_coeffs):
+        raise ValueError("G-equation coefficients must be polynomial")
+    profiles = [r.num.x_profile() for r in r_coeffs]
+    D = max(len(prof) for prof in profiles) - 1
+    taps = []  # per d: dict (z_exp, q_exp) -> int, q_exp may be negative
+    for d in range(D + 1):
+        acc = {}
+        for i, prof in enumerate(profiles):
+            for j, c in enumerate(prof[d] if d < len(prof) else ()):
+                key = (step * i, j - step * i * d)
+                acc[key] = acc.get(key, 0) + c
+        # multiply by prod_{t=0}^{step*(D-d)-1} (1 + q^(1+s-step*D+t) z^step)
+        for t in range(step * (D - d)):
+            e = 1 + s - step * D + t
+            nxt = {}
+            for (ze, qe), c in acc.items():
+                nxt[(ze, qe)] = nxt.get((ze, qe), 0) + c
+                k2 = (ze + step, qe + e)
+                nxt[k2] = nxt.get(k2, 0) + c
+            acc = nxt
+        taps.append({k: v for k, v in acc.items() if v})
+    # assemble x-form: a term q^c z^(step*i) on tap d contributes
+    # x^d q^(c + step*i*d) to the coefficient of H(x q^(step*i))
+    raw = {}
+    for d, acc in enumerate(taps):
+        for (ze, qe), c in acc.items():
+            if ze % step:
+                raise ValueError("unexpected z-power in the transformed recurrence")
+            i = ze // step
+            key = (i, d, qe + step * i * d)
+            raw[key] = raw.get(key, 0) + c
+    low = min((qe for (_, _, qe) in raw), default=0)
+    shift = -low if low < 0 else 0
+    n_shifts = max((i for (i, _, _) in raw), default=0)
+    coeffs = []
+    for i in range(n_shifts + 1):
+        terms = {}
+        for (ii, d, qe), c in raw.items():
+            if ii == i:
+                terms[(d, qe + shift)] = terms.get((d, qe + shift), 0) + c
+        coeffs.append(RationalFunction(BiPoly(terms)))
+    return coeffs
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,9 @@ TARGETS = {"default": None, "class1": "3U4", "class2": "2U4U04",
 CASES = {"dfa-table": ["dfa", "table"],
          "verify-all-order12": ["verify", "all", "--order", "12"],
          "verify-all-order12-structured": ["verify", "all", "--order", "12",
+                                           "--format", "structured"],
+         "verify-all-order40": ["verify", "all", "--order", "40"],
+         "verify-all-order40-structured": ["verify", "all", "--order", "40",
                                            "--format", "structured"]}
 # every non-accepting state of the shipped DFA (q6 is its accepting sink)
 for _v in (0, 1, 2, 3, 4, 5, 7):

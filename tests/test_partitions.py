@@ -4,13 +4,12 @@ import random
 import pytest
 
 from conftest import (brute_partition_counts, check_modulus_conditions,
-                      class_extra_by_scan, phi_minus, truncate_gt,
-                      truncate_le)
+                      class_extra_by_scan, oplus, phi_minus, phi_plus,
+                      shifted, truncate_gt, truncate_le)
 from reglinked.partitions import (
     EMPTY, MultiplicityVector, Partition, weight_monomial,
-    count_all_class_series, from_multiplicities, in_class, oplus,
-    partitions_of, phi_plus, satisfies_nandi, satisfies_nandi_mult,
-    to_multiplicities,
+    count_all_class_series, from_multiplicities, in_class, partitions_of,
+    satisfies_nandi, satisfies_nandi_mult, to_multiplicities,
 )
 
 def test_partition_validation():
@@ -57,8 +56,8 @@ def test_phi_maps():
         k = rng.randint(0, 3)
         assert phi_minus(phi_plus(p, k), k) == p
         # on multiplicity vectors the maps are shifts
-        assert to_multiplicities(phi_plus(p, k)) == to_multiplicities(p).shifted(k)
-        assert to_multiplicities(phi_minus(p, k)) == to_multiplicities(p).shifted(-k)
+        assert to_multiplicities(phi_plus(p, k)) == shifted(to_multiplicities(p), k)
+        assert to_multiplicities(phi_minus(p, k)) == shifted(to_multiplicities(p), -k)
 
 
 def test_oplus_examples_and_monoid():

@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import (bipoly_div_exact_by_profiles, bipoly_gcd_by_profiles,
-                      mat_identity, mat_inverse_T, mat_mul, rf_q_expand,
-                      u_div_exact_by_long_division, u_gcd_by_prs)
+                      mat_identity, mat_inverse_T, mat_mul, product_series,
+                      rf_q_expand, u_div_exact_by_long_division, u_gcd_by_prs)
 from reglinked.qalgebra import (
     BiPoly, Q as q, QSeries, RationalFunction, RfMatrix, X as x,
     ExpressionSyntaxError, _u_div_exact, _u_gcd, _u_mul, _u_trim,
     bipoly_div_exact, bipoly_gcd, parse_rational, poch_finite, poch_inf,
-    pochhammer_inverse, product_series,
+    pochhammer_inverse,
 )
 
 
@@ -216,6 +216,29 @@ def test_empty_pochhammer_is_one():
     assert poch_finite(-1, 1, 1, 0, 8) == QSeries.one(8)
 
 
+def test_pochhammer_edge_results():
+    # a factor at exponent 0 scales by (1 + c), and a zero factor kills
+    # the product
+    assert poch_finite(2, 0, 1, 2, 4) == QSeries([3, 6], 4)
+    assert all(type(c) is int for c in poch_finite(2, 0, 1, 2, 4).coeffs)
+    assert poch_finite(1, 0, 2, 2, 5) == QSeries([2, 0, 2], 5)
+    assert poch_finite(-1, 0, 1, 3, 5) == QSeries.zero(5)
+    # no factors
+    assert poch_finite(-1, 1, 1, 0, 4) == QSeries.one(4)
+    assert poch_finite(-1, 1, 1, -2, 4) == QSeries.one(4)
+    # factors past the order are 1 at this truncation
+    assert poch_finite(-1, 3, 5, 4, 10) == QSeries([1, 0, 0, -1, 0, 0, 0, 0, -1], 10)
+    assert poch_finite(3, 2, 1, 3, 0) == QSeries.one(0)
+    assert poch_inf(-1, 7, 3, 5) == QSeries.one(5)
+    assert poch_inf(-1, 1, 1, 6) == QSeries([1, -1, -1, 0, 0, 1, 0], 6)
+    assert poch_finite(Fraction(1, 2), 1, 1, 2, 3) == QSeries(
+        [1, Fraction(1, 2), Fraction(1, 2), Fraction(1, 4)], 3)
+    with pytest.raises(ValueError, match="step must be positive"):
+        poch_inf(-1, 1, 0, 5)
+    with pytest.raises(ValueError, match="exponents >= 1"):
+        poch_inf(-1, 0, 2, 5)
+
+
 def test_pochhammer_inverse_mod14_class1():
     # oracle: brute-force count of partitions into parts = 2,3,4 mod 14
     allowed = {2, 3, 4, 10, 11, 12}
@@ -291,10 +314,49 @@ def _random_q_only_rf(rng):
 
 
 def test_product_series_drops_high_factors():
-    # factors beyond the truncation are 1 + O(q^(T+1))
-    a = product_series([(1, 3), (1, 99)], 8)
-    b = product_series([(1, 3)], 8)
+    # factors beyond the truncation are 1 + O(q^(T+1)): (1+q^3)(1+q^99)
+    a = QSeries.one(8).mul_poch(1, 3, 96, 2)
+    b = QSeries.one(8).mul_poch(1, 3, 1, 1)
     assert a == b
+    assert QSeries.one(8).div_poch(1, 3, 96, 2) == QSeries.one(8).div_poch(1, 3, 1, 1)
+
+
+def test_pochhammer_methods_match_build_then_invert():
+    # mul_poch/div_poch against the product built factor by factor and
+    # then multiplied in or inverted
+    rng = random.Random(1414)
+    seen = set()
+    for _ in range(2000):
+        order = rng.randint(0, 60)
+        c, step = rng.randint(-3, 3), rng.randint(1, 14)
+        n = rng.choice([None, 0, rng.randint(1, 12)])
+        if n is None:
+            start = rng.randint(1, 15)
+            exponents = range(start, order + 1, step)
+        else:
+            start = rng.randint(0, 15)
+            exponents = [start + j * step for j in range(n)]
+        coeffs = [rng.randint(-5, 5) for _ in range(order + 1)]
+        if rng.random() < 0.5:
+            coeffs = [Fraction(a, rng.randint(1, 4)) for a in coeffs]
+        s = QSeries(coeffs, order)
+        prod = product_series([(c, e) for e in exponents], order)
+        got = s.mul_poch(c, start, step, n)
+        assert got == s * prod
+        if prod.coeffs[0] == 0:
+            seen.add("zero factor")
+            with pytest.raises(ZeroDivisionError):
+                s.div_poch(c, start, step, n)
+            continue
+        quotient = s.div_poch(c, start, step, n)
+        assert quotient == s * prod.invert()
+        if all(type(a) is int for a in coeffs) and prod.coeffs[0] in (1, -1):
+            seen.add("int")
+            assert all(type(a) is int for a in got.coeffs + quotient.coeffs)
+        seen.update(k for k, hit in (("infinite", n is None), ("n = 0", n == 0),
+                                     ("c = 0", c == 0), ("start 0", start == 0))
+                    if hit)
+    assert seen == {"zero factor", "int", "infinite", "n = 0", "c = 0", "start 0"}
 
 
 def test_series_rendering():

@@ -3,18 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import GOLDEN_EQUATION
+from conftest import (GOLDEN_EQUATION, h_equation_by_z_form, x_poch_even,
+                      xseries_div, xseries_mul)
 from reglinked.linked import series_from_system
 from reglinked.murraymiller import QDifferenceEquation
 from reglinked.partitions import count_all_class_series
-from reglinked.qalgebra import (Q as q, QSeries, RationalFunction, X as x,
-                                poch_finite)
+from reglinked.qalgebra import (BiPoly, Q as q, QSeries, RationalFunction,
+                                X as x, poch_finite)
 from reglinked.qseries import (
     CLASS_ST, XSeries, closed_form_i, double_sum, equation_residual,
     euler_check, evaluate_x1, g_closed_form, g_equation, g_limit_check,
     h_equation, nandi_class_state, nandi_equation, nandi_product,
     remark_single_sum_check, slater_check, solve_equation, transform_chain,
-    x_poch_even,
 )
 
 
@@ -34,8 +34,25 @@ def test_xseries_mul_div_round_trip():
     t = 15
     poch = x_poch_even(8, t)
     f = XSeries([poch_finite(-1, 1, 1, M, t) for M in range(9)])
-    assert (f * poch) / poch == f
-    assert (f / poch) * poch == f
+    assert xseries_div(xseries_mul(f, poch), poch) == f
+    assert xseries_mul(xseries_div(f, poch), poch) == f
+
+
+def test_xseries_one_plus_x_factors_match_reference():
+    # (x;q^2)_inf one factor at a time against the general product and
+    # long division, on integer and Fraction coefficients
+    rng = random.Random(14)
+    for _ in range(30):
+        L, t = rng.randint(0, 8), rng.randint(0, 20)
+        f = XSeries([QSeries([rng.choice([0, 1, -2, 3, Fraction(1, 3)])
+                              for _ in range(t + 1)], t) for _ in range(L + 1)])
+        poch = x_poch_even(L, t)
+        by_mul, by_div = f, f
+        for e in range(0, t + 1, 2):
+            by_mul = by_mul.mul_one_plus_x(-1, e)
+            by_div = by_div.div_one_plus_x(-1, e)
+        assert by_mul == xseries_mul(f, poch)
+        assert by_div == xseries_div(f, poch)
 
 
 def test_xseries_eval_x1():
@@ -124,12 +141,12 @@ def test_transform_chain_inverts():
         s, _ = CLASS_ST[a]
         chain = transform_chain(a, L, t)
         poch = x_poch_even(L, t)
-        H_back = chain.I / poch
+        H_back = xseries_div(chain.I, poch)
         assert H_back == chain.H
         G_back = XSeries([H_back.coeffs[M] * poch_finite(1, 1 + s, 1, 2 * M, t)
                           for M in range(L + 1)])
         assert G_back == chain.G
-        assert G_back * poch == chain.F
+        assert xseries_mul(G_back, poch) == chain.F
 
 
 def test_g_equation_matches_worked_example():
@@ -173,6 +190,24 @@ def test_worked_i_recurrences():
                * poch_finite(1, 2 * M - 1, 1, 1, t)).shift(1)
         rhs = -chain.I.coeff(M - 1).shift(2 * M)
         assert lhs == rhs, M
+
+
+def _random_g_equation(rng):
+    return [RationalFunction(BiPoly({(rng.randint(0, 3), rng.randint(0, 6)):
+                                     rng.randint(-3, 3)
+                                     for _ in range(rng.randint(0, 5))}))
+            for _ in range(rng.randint(1, 5))]
+
+
+def test_h_equation_matches_z_form_reference():
+    cases = [(g_equation(nandi_equation(a)), CLASS_ST[a][0], 2) for a in (1, 2, 3)]
+    rng = random.Random(2026)
+    cases += [(_random_g_equation(rng), rng.randint(0, 1), rng.randint(1, 3))
+              for _ in range(300)]
+    for r_coeffs, s, step in cases:
+        # equality of reduced rational functions compares every term
+        assert h_equation(r_coeffs, s, step) == h_equation_by_z_form(
+            r_coeffs, s, step)
 
 
 def test_h_equation_general_construction():

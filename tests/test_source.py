@@ -1,11 +1,13 @@
 """Checks on the library's source text."""
 
 import ast
+import re
 from pathlib import Path
 
 import reglinked
 
 SRC = Path(reglinked.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_no_dead_private_helpers():
@@ -32,4 +34,28 @@ def test_no_dead_private_helpers():
                 named.add(node.name)
     dead = [f"{mod}:{name}" for mod, name in defined
             if name.startswith("_") and name not in named]
+    assert dead == []
+
+
+def test_no_dead_public_functions():
+    """Every public module-level function or class is exported by the
+    package or named somewhere in the library besides its own definition,
+    in the benchmark's scripts or in the README."""
+    defined = []
+    named = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined.extend((path.name, node.name) for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       and not node.name.startswith("_"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    docs = [ROOT / "README.md", *sorted((ROOT / "perfbench").glob("*.py"))]
+    named.update(*(re.findall(r"\w+", p.read_text(encoding="utf-8")) for p in docs))
+    dead = [f"{mod}:{name}" for mod, name in defined if name not in named]
     assert dead == []
