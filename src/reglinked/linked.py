@@ -263,7 +263,8 @@ def build_forbidden_dfa(spec: LinkedSpec) -> Dfa:
 @dataclass(frozen=True)
 class QDifferenceSystem:
     """Coupled system F_v(x) = sum_u A[v][u] F_u(x q^m) over the non-accepting
-    states; entries are polynomial weights sum_a x^len(pi_a) q^|pi_a|.
+    states; entries are polynomial weights sum_a x^len(pi_a) q^|pi_a|, and
+    0 in the column of every state whose class is empty.
     seed[i] is 1 when the empty partition belongs to the class of state
     labels[i], else 0: the constant term of that state's series."""
 
@@ -282,6 +283,9 @@ class QDifferenceSystem:
 
 
 def derive_system(spec: LinkedSpec) -> QDifferenceSystem:
+    """The system of the spec's forbidden DFA.  A state's class is empty
+    unless a seeded state is reachable from it; its series is then 0, so
+    its column is dropped like the transitions into accepting states."""
     dfa = build_forbidden_dfa(spec)
     labels = tuple(v for v in range(dfa.num_states) if v not in dfa.accept)
     col = {v: i for i, v in enumerate(labels)}
@@ -294,9 +298,16 @@ def derive_system(spec: LinkedSpec) -> QDifferenceSystem:
             if u in dfa.accept:
                 continue
             row[col[u]] = row[col[u]] + weights[s]
-        rows.append([RationalFunction(e) for e in row])
+        rows.append(row)
     seed = tuple(int(spec.trivial_symbol is not None and member(EMPTY, spec, v))
                  for v in labels)
+    live, size = {i for i, s in enumerate(seed) if s}, -1
+    while size < len(live):
+        size = len(live)
+        live |= {i for i, row in enumerate(rows)
+                 if any(not row[u].is_zero() for u in live)}
+    rows = [[RationalFunction(e if u in live else BiPoly()) for u, e in enumerate(row)]
+            for row in rows]
     return QDifferenceSystem(spec.m, labels, RfMatrix(rows), dfa.start, seed)
 
 

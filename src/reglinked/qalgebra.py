@@ -770,7 +770,8 @@ def _simplify_coeff(c):
 def _poch_exponents(c, start, step, n, order):
     """The exponents start + j*step of the factors (1 + c*q^e) of a
     Pochhammer product: j < n, or every factor that reaches q^order when
-    n is None.  Empty when c is 0, as every factor is then 1."""
+    n is None.  Empty when c is 0, as every factor is then 1; a negative
+    exponent is a ValueError otherwise."""
     if n is None:
         if step <= 0:
             raise ValueError("step must be positive")
@@ -778,7 +779,9 @@ def _poch_exponents(c, start, step, n, order):
             raise ValueError("infinite products need exponents >= 1")
         exponents = range(start, order + 1, step)
     else:
-        exponents = (start + j * step for j in range(n))
+        exponents = [start + j * step for j in range(n)]
+        if c and min(exponents, default=0) < 0:
+            raise ValueError(f"factor exponent {min(exponents)} is negative")
     return exponents if c else ()
 
 

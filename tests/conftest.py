@@ -663,6 +663,31 @@ def state_for_class_by_equivalence(spec, extra_prefixes):
     return None
 
 
+def untrimmed_system(spec):
+    """linked.derive_system without dropping the columns of empty-class
+    states: every transition into a non-accepting state keeps its weight."""
+    from reglinked.linked import (QDifferenceSystem, build_forbidden_dfa,
+                                  member)
+    from reglinked.partitions import weight_monomial
+
+    dfa = build_forbidden_dfa(spec)
+    labels = tuple(v for v in range(dfa.num_states) if v not in dfa.accept)
+    col = {v: i for i, v in enumerate(labels)}
+    weights = {s: weight_monomial(p) for s, p in spec.pi}
+    rows = []
+    for v in labels:
+        row = [BiPoly() for _ in labels]
+        for s in spec.alphabet:
+            u = dfa.step(v, s)
+            if u in dfa.accept:
+                continue
+            row[col[u]] = row[col[u]] + weights[s]
+        rows.append([RationalFunction(e) for e in row])
+    seed = tuple(int(spec.trivial_symbol is not None and member(EMPTY, spec, v))
+                 for v in labels)
+    return QDifferenceSystem(spec.m, labels, RfMatrix(rows), dfa.start, seed)
+
+
 def _system_terms(system):
     return [[[(c, i, j) for (i, j), c in e.num.terms.items()] for e in row]
             for row in system.matrix.entries]

@@ -1,10 +1,12 @@
-"""Byte-exact CLI output for the shipped spec and three other specs.
+"""Byte-exact CLI output for the shipped spec and four other specs.
 
 Each case runs one command and compares its stdout with a file under
 tests/cli_golden/.  The other specs live in tests/cli_golden/specs/: the
-difference-2 spec, a spec with multi-character symbols, and an m = 2 spec
-with a 6-state DFA.  The files hold the output of the commands as they
-stand; any change to the text or structured reports shows up here.
+difference-2 spec, a spec with multi-character symbols, an m = 2 spec
+with a 6-state DFA, and an m = 2 spec whose classes are all empty (it
+forbids the all-trivial tail 000), so it derives the equation F = 0.
+The files hold the output of the commands as they stand; any change to
+the text or structured reports shows up here.
 """
 
 from pathlib import Path
@@ -33,7 +35,7 @@ for _name, _target in TARGETS.items():
         CASES[f"derive-{_name}-{_fmt}"] = (
             ["derive", "--format", _fmt]
             + ([] if _target is None else ["--target", _target]))
-for _spec in ("diff2", "multichar", "draw3"):
+for _spec in ("diff2", "multichar", "draw3", "draw8"):
     _path = str(GOLDEN_DIR / "specs" / f"{_spec}.spec")
     CASES[f"spec-{_spec}-dfa-table"] = ["dfa", "--spec", _path, "table"]
     CASES[f"spec-{_spec}-dfa-prefixes-q0"] = ["dfa", "--spec", _path,

@@ -13,7 +13,8 @@ from conftest import (CLASS_PREFIXES, CLASS_STATE, GOLDEN_DFA_ACCEPT,
                       brute_partition_counts, check_dfa_from_regex_calls,
                       decode, encode_by_multiplicities, fixed_point_series,
                       isomorphism, member_by_full_tail, random_spec,
-                      state_for_class_by_equivalence, trivial_walk_survival)
+                      state_for_class_by_equivalence, trivial_walk_survival,
+                      untrimmed_system)
 from reglinked import linked
 from reglinked.automata import Dfa, Empty, Symbol, parse_regex
 from reglinked.linked import (
@@ -348,6 +349,37 @@ def test_series_from_system_matches_fixed_point_reference():
             assert (series_from_system(system, st, 15, x_value="symbolic")
                     == fixed_point_series(system, st, 15, x_value="symbolic")
                     ), (system, st)
+
+
+def test_trimming_empty_classes_changes_no_series():
+    # dropping the columns of empty-class states reads 0 where the
+    # untrimmed system read a series that is 0 anyway
+    rng = random.Random(240)
+    states = trimmed = 0
+    for _ in range(240):
+        spec = random_spec(rng)
+        system, full = derive_system(spec), untrimmed_system(spec)
+        trimmed += system != full
+        for u, st in enumerate(system.labels):
+            series = series_from_system(system, st, 20, x_value="symbolic")
+            assert series == series_from_system(full, st, 20, x_value="symbolic")
+            empty = all(c == QSeries.zero(20) for c in series)
+            column, full_column = ([row[u] for row in s.matrix.entries]
+                                   for s in (system, full))
+            assert column == (full_column if not empty
+                              else [RationalFunction.zero()] * len(column)), (spec, st)
+            states += 1
+    assert states >= 400 and trimmed >= 50
+
+
+def test_empty_class_spec_has_an_all_zero_system():
+    # no seeded state is reachable anywhere: every class is empty
+    spec = load_spec(Path(__file__).parent / "cli_golden" / "specs" / "draw8.spec")
+    system = derive_system(spec)
+    assert system.seed == (0,) * len(system.labels)
+    assert all(e.is_zero() for row in system.matrix.entries for e in row)
+    assert not all(e.is_zero()
+                   for row in untrimmed_system(spec).matrix.entries for e in row)
 
 
 def test_series_from_system_rejects_zero_weight_self_feed():

@@ -1,16 +1,20 @@
 import random
+import time
+from pathlib import Path
 
 import pytest
 
 from conftest import (CLASS_STATE, GOLDEN_EQUATION, GOLDEN_P5, NO_SWAP_ORDER,
                       bipoly_gcd_by_profiles, mat_inverse_T, mat_mul,
-                      mat_shift_x, random_spec, triangularize_by_products)
+                      mat_shift_x, random_spec, triangularize_by_products,
+                      untrimmed_system)
 from reglinked import murraymiller, qalgebra
-from reglinked.linked import (QDifferenceSystem, derive_system,
+from reglinked.linked import (QDifferenceSystem, derive_system, load_spec,
                               parse_spec_text, series_from_system)
 from reglinked.murraymiller import (
-    QDifferenceEquation, eliminate, equation_from_text, equation_to_text,
-    normalize_equation, reorder, reorder_first, triangularize,
+    QDifferenceEquation, derive_equation, eliminate, equation_from_text,
+    equation_to_text, normalize_equation, reorder, reorder_first,
+    triangularize,
 )
 from reglinked.qalgebra import Q as q, RationalFunction, RfMatrix, X as x
 from reglinked.qseries import equation_residual
@@ -136,10 +140,12 @@ def test_triangularize_matches_matrix_products(a, nandi_system):
 
 
 def test_triangularize_matches_matrix_products_on_random_specs():
+    # the untrimmed systems keep the entries into empty classes, which give
+    # the conjugation more to do than the trimmed ones
     rng = random.Random(1956)
     checked = conjugated = 0
     while checked < 24:
-        system = derive_system(random_spec(rng))
+        system = untrimmed_system(random_spec(rng))
         if len(system.labels) < 2:
             continue  # nothing to conjugate
         moved = reorder_first(system, rng.choice(system.labels))
@@ -254,6 +260,19 @@ def test_solution_preservation_random_systems():
         F = XSeries(series_from_system(system, target, order, x_value="symbolic"))
         assert equation_residual(eq, F).is_zero(), spec
         checked += 1
+
+
+def test_empty_class_spec_derives_f_equals_zero_at_once():
+    # every class of this spec is empty; its untrimmed 6 x 6 system kept
+    # Murray-Miller busy for over a minute, the trimmed one is all zeros
+    from reglinked.qseries import XSeries
+    spec = load_spec(Path(__file__).parent / "cli_golden" / "specs" / "draw8.spec")
+    t0 = time.perf_counter()
+    state, system, l_prime, _, eq = derive_equation(spec, spec.forbidden_prefixes)
+    assert time.perf_counter() - t0 < 1.0
+    assert (l_prime, eq.coeffs) == (1, (RationalFunction._coerce(1),))
+    F = XSeries(series_from_system(system, state, 20, x_value="symbolic"))
+    assert equation_residual(eq, F).is_zero()
 
 
 def test_equation_text_round_trip():

@@ -239,6 +239,20 @@ def test_pochhammer_edge_results():
         poch_inf(-1, 0, 2, 5)
 
 
+def test_pochhammer_rejects_negative_exponents():
+    # a factor below q^0, at the start or after a negative step, is an
+    # error that names its exponent
+    s = QSeries([1, 2, 3, 4, 5, 6], 5)
+    for start, step, n, bad in ((-1, 1, 2, -1), (2, -3, 2, -1), (4, -2, 5, -4)):
+        with pytest.raises(ValueError, match=f"exponent {bad} is negative"):
+            poch_finite(1, start, step, n, 5)
+        with pytest.raises(ValueError, match=f"exponent {bad} is negative"):
+            s.div_poch(1, start, step, n)
+        # every factor is 1 when c = 0, wherever it sits
+        assert s.mul_poch(0, start, step, n) == s
+        assert s.div_poch(0, start, step, n) == s
+
+
 def test_pochhammer_inverse_mod14_class1():
     # oracle: brute-force count of partitions into parts = 2,3,4 mod 14
     allowed = {2, 3, 4, 10, 11, 12}
