@@ -35,15 +35,23 @@ class Regex:
     """A regex node: immutable, equal to another node of the same type with
     equal fields.
 
-    Each node hashes once, when it is built, from its type and its fields;
-    its children already hold their hashes, so this costs O(1) however deep
-    the tree is.  That hash depends on the string-hash seed, so pickling
-    rebuilds the node from its fields instead of copying the hash.
+    Each node hashes once, when it is built, from its type and its fields,
+    and stores whether it is nullable, from its children's stored values;
+    so either costs O(1) however deep the tree is.  That hash depends on
+    the string-hash seed, so pickling rebuilds the node from its fields
+    instead of copying the hash.
     """
+
+    _nullable = None  # a bare Regex is no node of the language
 
     def __post_init__(self):
         object.__setattr__(self, "_hash",
                            hash((type(self), *self.__dict__.values())))
+        object.__setattr__(self, "_nullable", self._null())
+
+    def _null(self):
+        # a leaf's nullability is its class's; Union and Concat override
+        return self._nullable
 
     def __hash__(self):
         return self._hash
@@ -61,15 +69,20 @@ class Regex:
 class Empty(Regex):
     """The empty language."""
 
+    _nullable = False
+
 
 @dataclass(frozen=True, eq=False)
 class Epsilon(Regex):
     """The language containing only the empty word."""
 
+    _nullable = True
+
 
 @dataclass(frozen=True, eq=False)
 class Symbol(Regex):
     name: str
+    _nullable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,16 +90,23 @@ class Union(Regex):
     left: Regex
     right: Regex
 
+    def _null(self):
+        return nullable(self.left) or nullable(self.right)
+
 
 @dataclass(frozen=True, eq=False)
 class Concat(Regex):
     left: Regex
     right: Regex
 
+    def _null(self):
+        return nullable(self.left) and nullable(self.right)
+
 
 @dataclass(frozen=True, eq=False)
 class Star(Regex):
     inner: Regex
+    _nullable = True
 
 
 def union_all(items):
@@ -110,15 +130,10 @@ def concat_all(items):
 
 
 def nullable(r: Regex) -> bool:
-    """True iff the empty word belongs to the language of r."""
-    if isinstance(r, (Empty, Symbol)):
-        return False
-    if isinstance(r, (Epsilon, Star)):
-        return True
-    if isinstance(r, Union):
-        return nullable(r.left) or nullable(r.right)
-    if isinstance(r, Concat):
-        return nullable(r.left) and nullable(r.right)
+    """True iff the empty word belongs to the language of r; read from
+    the value each node stores when it is built."""
+    if isinstance(r, Regex) and r._nullable is not None:
+        return r._nullable
     raise TypeError(f"not a Regex node: {r!r}")
 
 
@@ -354,7 +369,7 @@ def _partial_derivatives(r: Regex, a):
     if isinstance(r, Concat):
         out = {r.right if isinstance(d, Epsilon) else Concat(d, r.right)
                for d in _partial_derivatives(r.left, a)}
-        if nullable(r.left):
+        if r.left._nullable:
             out |= _partial_derivatives(r.right, a)
         return frozenset(out)
     if isinstance(r, Star):
@@ -391,7 +406,7 @@ def dfa_from_regex(r: Regex, alphabet) -> Dfa:
         return out
 
     return minimize(_renumber_bfs(alphabet, successors, frozenset([r]),
-                                  lambda terms: any(map(nullable, terms))))
+                                  lambda terms: any(t._nullable for t in terms)))
 
 
 def minimize(m: Dfa) -> Dfa:

@@ -31,8 +31,9 @@ def _print_dfa(title, dfa, fmt, out):
         out.write(automata.dfa_to_text(dfa))
         return 0
     print(title, file=out)
-    print(f"states: {dfa.num_states}   start: q{dfa.start}   "
-          f"accept: {' '.join(f'q{v}' for v in sorted(dfa.accept))}", file=out)
+    accept = "".join(f" q{v}" for v in sorted(dfa.accept))
+    print(f"states: {dfa.num_states}   start: q{dfa.start}   accept:{accept}",
+          file=out)
     head = "v\\j |" + "".join(f"{s:>4}" for s in dfa.alphabet)
     print(head, file=out)
     print("-" * len(head), file=out)
@@ -87,7 +88,8 @@ def cmd_derive(args, out):
           + " ".join(f"q{v}" for v in system.labels), file=out)
     for row in system.matrix.entries:
         print("  [" + ", ".join(str(e) for e in row) + "]", file=out)
-    print(f"\ntriangularized after {l_prime} steps:", file=out)
+    steps = "step" if l_prime == 1 else "steps"
+    print(f"\ntriangularized after {l_prime} {steps}:", file=out)
     for row in p.entries:
         print("  [" + ", ".join(str(e) for e in row) + "]", file=out)
     print("\nsingle equation, 0 = sum_i p_i(x,q) F(x*q^(step*i)):", file=out)

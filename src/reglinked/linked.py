@@ -423,10 +423,10 @@ def member(p: Partition, spec: LinkedSpec, state=None) -> bool:
     if triv is None:
         raise MissingTrivialSymbolError(
             "no symbol maps to the empty partition; padded sequences do not exist")
-    dfa = build_forbidden_dfa(spec)
     word, bad = _scan_blocks(p, spec)
     if bad is not None:
         return False
+    dfa = build_forbidden_dfa(spec)
     trans, index, accept = dfa.transitions, dfa._index, dfa.accept
     v = dfa.start if state is None else state
     for sym in word:

@@ -91,12 +91,14 @@ class MultiplicityVector:
 
 
 def to_multiplicities(p: Partition) -> MultiplicityVector:
-    if not p.parts:
-        return MultiplicityVector(())
-    out = [0] * p.parts[0]
+    """The counts of p's parts; built unvalidated, since the count of
+    p's largest part is positive, so the vector has no trailing zero."""
+    out = [0] * (p.parts[0] if p.parts else 0)
     for part in p.parts:
         out[part - 1] += 1
-    return MultiplicityVector(out)
+    f = object.__new__(MultiplicityVector)
+    object.__setattr__(f, "mults", tuple(out))
+    return f
 
 
 def from_multiplicities(f: MultiplicityVector) -> Partition:
@@ -242,12 +244,16 @@ def _walk(n, window_ok, parts):
 
 
 def partitions_of(n: int):
-    """All partitions of n in lexicographically decreasing order."""
+    """All partitions of n in lexicographically decreasing order.  The
+    walk grows positive, weakly decreasing parts, so each partition is
+    built without the constructor's validation."""
     if n < 0:
         raise ValueError("n must be >= 0")
     for rest, parts in _walk(n, lambda parts, k: True, []):
         if not rest:
-            yield Partition(parts)
+            p = object.__new__(Partition)
+            object.__setattr__(p, "parts", tuple(parts))
+            yield p
 
 
 def count_all_class_series(order: int):

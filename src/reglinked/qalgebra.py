@@ -1,7 +1,8 @@
 """Exact arithmetic kernel: bivariate integer polynomials in (x, q), their
 gcd and exact division (one primitive pseudo-remainder sequence and one
 long division, each written once over a coefficient ring: Z for
-polynomials in q, Z[q] for polynomials in x), reduced rational functions,
+polynomials in q, Z[q] for polynomials in x; a gcd with a single-term
+argument is a monomial in closed form), reduced rational functions,
 a matrix container for them, and truncated q-series with exact rational
 coefficients, which multiply and divide by a Pochhammer product one
 linear pass per factor.
@@ -376,12 +377,23 @@ def _bipoly_from_profile(prof):
 def bipoly_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
     """gcd in Z[x, q], sign-normalized so the leading coefficient is positive.
 
-    The same primitive pseudo-remainder sequence as the univariate gcd over
-    Z, run in x over the ring Z[q] on the two x-profiles.  Fast enough for
-    the shipped spec; on larger systems its intermediate integers grow
-    without bound and it dominates `triangularize` (some 9-state specs take
-    over a minute).
+    When either argument is a single term c x^i q^j (a constant included),
+    the gcd is a monomial in closed form: gcd(|c|, the other argument's
+    integer content) times x and q each to the lower of the two smallest
+    exponents, with no sequence run.  Otherwise it is the same primitive
+    pseudo-remainder sequence as the univariate gcd over Z, run in x over
+    the ring Z[q] on the two x-profiles.  Fast enough for the shipped
+    spec; on larger systems its intermediate integers grow without bound
+    and it dominates `triangularize` (some 9-state specs take over a
+    minute).
     """
+    if len(b.terms) == 1:
+        a, b = b, a
+    if len(a.terms) == 1:
+        ((i, j), c), = a.terms.items()
+        for (k, l), d in b.terms.items():
+            c, i, j = _int_gcd(c, d), min(i, k), min(j, l)
+        return BiPoly({(i, j): abs(c)})
     return _bipoly_from_profile(_prs_gcd(a.x_profile(), b.x_profile(), _ZQ))
 
 

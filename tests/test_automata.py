@@ -18,7 +18,7 @@ from reglinked import automata as A
 from reglinked.automata import (
     AlphabetError, Concat, Dfa, Empty, Epsilon, RegexSyntaxError, Star,
     Symbol, Union, dfa_from_regex, dfa_from_text, dfa_to_text,
-    min_forbidden_prefixes, minimize, parse_regex, union_all,
+    min_forbidden_prefixes, minimize, nullable, parse_regex, union_all,
 )
 
 DIGITS = ("0", "1", "2", "3", "4")
@@ -316,6 +316,24 @@ def test_dfa_from_regex_matches_subset_route_on_random_regexes():
         assert dfa_from_regex(r, alpha) == want, r
         outcomes["equal"] += 1
     assert outcomes["refused"] >= 100, outcomes
+
+
+def test_stored_nullable_matches_the_recursive_matcher_and_survives_pickling():
+    # the matcher recurses through the tree on the empty word, so it
+    # recomputes what each node stored when it was built
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(600):
+        r = _random_regex(rng, DIGITS[:3], depth=5)
+        want = regex_match_words(r, ())
+        assert nullable(r) is want, r
+        back = pickle.loads(pickle.dumps(r))
+        assert back == r and hash(back) == hash(r) and nullable(back) is want
+        seen.add(want)
+    assert seen == {True, False}
+    for bad in ("0", None, A.Regex()):
+        with pytest.raises(TypeError, match="not a Regex node"):
+            nullable(bad)
 
 
 def _random_regex(rng, alpha, depth):

@@ -38,9 +38,14 @@ def test_multiplicities_examples():
 
 
 def test_round_trip_all_small():
-    for n in range(13):
+    # partitions_of and to_multiplicities skip the constructors' checks, so
+    # each result must equal the validated object built from its field
+    for n in range(17):
         for p in partitions_of(n):
-            assert from_multiplicities(to_multiplicities(p)) == p
+            assert p == Partition(p.parts) and type(p.parts) is tuple
+            f = to_multiplicities(p)
+            assert f == MultiplicityVector(f.mults) and type(f.mults) is tuple
+            assert from_multiplicities(f) == p
     f = MultiplicityVector((1, 0, 2))
     assert to_multiplicities(from_multiplicities(f)) == f
 

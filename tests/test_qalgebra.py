@@ -129,6 +129,30 @@ def test_bipoly_gcd_and_division_match_two_copy_reference():
                              lambda a, b: a * b)
 
 
+def _random_term(rng):
+    # one term c x^i q^j of either sign: a constant, x-only, q-only or both
+    shape = rng.randrange(4)
+    return BiPoly.monomial(rng.choice((-6, -2, -1, 1, 3, 4)),
+                           rng.randint(1, 3) if shape & 1 else 0,
+                           rng.randint(1, 4) if shape & 2 else 0)
+
+
+def test_bipoly_gcd_with_a_single_term_matches_two_copy_reference():
+    # the closed-form monomial gcd, against zero, constants, other terms
+    # and polynomials sharing a term factor, in both argument orders
+    rng = random.Random(22)
+    pairs = []
+    for _ in range(800):
+        t = _random_term(rng)
+        other = rng.choice((BiPoly(), _random_term(rng), _random_bipoly(rng)))
+        if rng.random() < 0.5:
+            other = other * _random_term(rng)
+        pairs += [(t, other), (other, t)]
+    _check_against_reference(pairs, bipoly_gcd, bipoly_gcd_by_profiles,
+                             bipoly_div_exact, bipoly_div_exact_by_profiles,
+                             lambda a, b: a * b)
+
+
 def test_shift_x_examples():
     assert rf(x).shift_x(2) == rf(x * q**2)
     a = (x**2 + x * q) / (1 + q**3)

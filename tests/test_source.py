@@ -59,3 +59,24 @@ def test_no_dead_public_functions():
     named.update(*(re.findall(r"\w+", p.read_text(encoding="utf-8")) for p in docs))
     dead = [f"{mod}:{name}" for mod, name in defined if name not in named]
     assert dead == []
+
+
+def test_unvalidated_partitions_are_built_only_in_partitions():
+    """Only the enumeration in partitions.py builds a Partition or a
+    MultiplicityVector through __new__, skipping the constructor's checks,
+    so parsed specs and CLI input always yield validated objects.  Every
+    __new__ call must name a library class outright: a class passed in a
+    variable could hide a bypass from this check."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    classes = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    calls = [(mod, ast.unparse(node.args[0]) if node.args else "")
+             for mod, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "__new__"]
+    assert all(cls in classes for _, cls in calls), calls
+    assert {(mod, cls) for mod, cls in calls
+            if cls in ("Partition", "MultiplicityVector")} == {
+        ("partitions.py", "Partition"), ("partitions.py", "MultiplicityVector")}
