@@ -311,6 +311,16 @@ def derive_system(spec: LinkedSpec) -> QDifferenceSystem:
     return QDifferenceSystem(spec.m, labels, RfMatrix(rows), dfa.start, seed)
 
 
+def _class_target_dfa(spec: LinkedSpec, extra_prefixes: Regex) -> Dfa:
+    """_forbidden_language_dfa(spec, extra_prefixes) as a minimal union:
+    the pattern machine for I* X I* (the cached forbidden DFA itself when
+    X' is empty) and the small machine for L(extra_prefixes) I*."""
+    pattern = (build_forbidden_dfa(spec) if isinstance(spec.forbidden_prefixes, Empty)
+               else _forbidden_language_dfa(spec, Empty()))
+    return automata.dfa_union(pattern, dfa_from_regex(
+        automata.Concat(extra_prefixes, sigma_star(spec)), spec.alphabet))
+
+
 def state_for_class(spec: LinkedSpec, extra_prefixes: Regex):
     """The non-accepting state whose restarted language is
     I* X I*  union  L(extra_prefixes) I*, or None if no state matches.
@@ -319,7 +329,7 @@ def state_for_class(spec: LinkedSpec, extra_prefixes: Regex):
     state is minimal too; its canonical numbering therefore equals the
     (minimal, canonical) target machine exactly when the languages agree.
     """
-    target = _forbidden_language_dfa(spec, extra_prefixes)
+    target = _class_target_dfa(spec, extra_prefixes)
     dfa = build_forbidden_dfa(spec)
     for v in range(dfa.num_states):
         if v not in dfa.accept and automata.reachable_from(dfa, v) == target:
@@ -417,16 +427,22 @@ def member(p: Partition, spec: LinkedSpec, state=None) -> bool:
     machine, then the trivial symbol is followed until a state repeats: from
     there the trivial trajectory is periodic, so the states seen so far are
     all it ever visits, and this finite check decides the infinite-tail
-    condition.
+    condition.  A state outside the machine is a ValueError, whatever p.
     """
     triv = spec.trivial_symbol
     if triv is None:
         raise MissingTrivialSymbolError(
             "no symbol maps to the empty partition; padded sequences do not exist")
+    # a named state costs one cached lookup; otherwise only a partition
+    # that passes the block scan pays for it
+    dfa = None if state is None else build_forbidden_dfa(spec)
+    if state is not None and not 0 <= state < len(dfa.transitions):
+        raise ValueError(f"state {state} is not a state of the forbidden DFA")
     word, bad = _scan_blocks(p, spec)
     if bad is not None:
         return False
-    dfa = build_forbidden_dfa(spec)
+    if dfa is None:
+        dfa = build_forbidden_dfa(spec)
     trans, index, accept = dfa.transitions, dfa._index, dfa.accept
     v = dfa.start if state is None else state
     for sym in word:

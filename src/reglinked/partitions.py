@@ -244,16 +244,34 @@ def _walk(n, window_ok, parts):
 
 
 def partitions_of(n: int):
-    """All partitions of n in lexicographically decreasing order.  The
-    walk grows positive, weakly decreasing parts, so each partition is
-    built without the constructor's validation."""
+    """All partitions of n in lexicographically decreasing order, each
+    made from the one before by Zoghbi and Stojmenovic's ZS1 (Int. J.
+    Comput. Math. 70, 1998): x holds the parts followed by 1s, h indexes
+    the last part above 1, and the next partition lowers x[h] by one and
+    packs what it frees, with the 1s after h, into parts no larger.  The
+    parts stay positive and weakly decreasing, so each partition is built
+    without the constructor's validation."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    for rest, parts in _walk(n, lambda parts, k: True, []):
-        if not rest:
-            p = object.__new__(Partition)
-            object.__setattr__(p, "parts", tuple(parts))
-            yield p
+    x, m, h = [n] + [1] * (n - 1), min(n, 1), 0  # the parts are x[:m]
+    while True:
+        p = object.__new__(Partition)
+        object.__setattr__(p, "parts", tuple(x[:m]))
+        yield p
+        if m == 0 or x[0] == 1:
+            return
+        if x[h] == 2:
+            x[h], h, m = 1, h - 1, m + 1
+            continue
+        r = x[h] - 1
+        t, x[h] = m - h, r  # t: what x[h:m] held, less the r left at h
+        while t >= r:
+            h, t = h + 1, t - r
+            x[h] = r
+        m = h + 1 + (t > 0)
+        if t > 1:
+            h += 1
+            x[h] = t
 
 
 def count_all_class_series(order: int):

@@ -5,7 +5,9 @@ polynomials in q, Z[q] for polynomials in x; a gcd with a single-term
 argument is a monomial in closed form), reduced rational functions,
 a matrix container for them, and truncated q-series with exact rational
 coefficients, which multiply and divide by a Pochhammer product one
-linear pass per factor.
+linear pass per factor, and divide by another series through one exact
+recurrence over the divisor's nonzero terms (inversion is 1 divided by
+the series).
 
 No floating point anywhere.  Rational functions are kept in a canonical
 reduced form (gcd 1, denominator with positive leading coefficient in the
@@ -608,11 +610,11 @@ class QSeries:
 
     Coefficients are exact (int or Fraction).  They stay int through sums,
     products, `mul_poch`/`div_poch` with an integer c and factors of
-    positive degree, and the inverse of a series whose constant term is +1
-    or -1; `invert` is the one general division.  Arithmetic
-    never reads beyond the truncation order; binary operations carry the
-    minimum of the operand orders.  The order is per value, never implicit
-    global state.
+    positive degree, and quotients by a series whose constant term is +1
+    or -1; `/` is the one general division, and `invert` divides 1 by the
+    series.  Arithmetic never reads beyond the truncation order; binary
+    operations carry the minimum of the operand orders.  The order is per
+    value, never implicit global state.
     """
 
     __slots__ = ("order", "coeffs")
@@ -727,28 +729,33 @@ class QSeries:
                 out = [a * (-1 if c == -2 else Fraction(1, 1 + c)) for a in out]
         return QSeries(out, self.order)
 
-    def invert(self):
-        """Multiplicative inverse; requires a nonzero constant term.
+    def __truediv__(self, other):
+        """Exact quotient by a series with a nonzero constant term, one
+        coefficient at a time from the divisor's nonzero terms.
 
-        A constant term of +1 or -1 is its own inverse, so the recurrence
-        stays in the coefficients' own ring: int coefficients give an int
-        inverse.  Any other constant term is inverted as a Fraction.  The
-        recurrence reads only the nonzero coefficients of the divisor.
+        A divisor whose constant term is +1 or -1 is its own reciprocal
+        there, so int coefficients give an int quotient; any other constant
+        term divides as a Fraction.
         """
-        c0 = self.coeffs[0]
+        c0 = other.coeffs[0]
         if c0 == 0:
-            raise ZeroDivisionError("cannot invert a series with zero constant term")
-        inv0 = c0 if c0 in (1, -1) else Fraction(1, 1) / c0
-        terms = [(k, c) for k, c in enumerate(self.coeffs) if k and c]
-        out = [inv0] + [0] * self.order
-        for n in range(1, self.order + 1):
-            s = 0
+            raise ZeroDivisionError("cannot divide by a series with zero constant term")
+        t = min(self.order, other.order)
+        terms = [(k, c) for k, c in enumerate(other.coeffs[1:t + 1], 1) if c]
+        unit = c0 in (1, -1)
+        out = self.coeffs[:t + 1]
+        for n in range(t + 1):
+            s = out[n]
             for k, c in terms:
                 if k > n:
                     break
-                s += c * out[n - k]
-            out[n] = -inv0 * s
-        return QSeries([_simplify_coeff(c) for c in out], self.order)
+                s -= c * out[n - k]
+            out[n] = s * c0 if unit else Fraction(s) / c0
+        return QSeries(out if unit else [_simplify_coeff(c) for c in out], t)
+
+    def invert(self):
+        """Multiplicative inverse: 1 divided by the series."""
+        return QSeries.one(self.order) / self
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
@@ -820,8 +827,8 @@ def rf_x_coefficient_series(rf: RationalFunction, order: int) -> dict:
     each expanded as a QSeries (denominator constant term must be a unit)."""
     if rf.den.degree_x():
         raise ValueError("denominator involves x; not expandable per x-degree")
-    dinv = QSeries(rf.den.x_profile()[0], order).invert()
-    return {i: QSeries(ql, order) * dinv
+    den = QSeries(rf.den.x_profile()[0], order)
+    return {i: QSeries(ql, order) / den
             for i, ql in enumerate(rf.num.x_profile()) if ql}
 
 

@@ -98,17 +98,18 @@ def _equation_profile(eq: QDifferenceEquation, order):
 def _recurrence_sum(prof, step, fs, M, j_min, order):
     """sum_i sum_{j_min <= j <= M} [x^j]p_i * q^(step*i*(M-j)) * f_(M-j):
     the x^M coefficient of sum_i p_i(x, q) F(x q^(step*i)), from the
-    terms j >= j_min."""
-    acc = QSeries.zero(order)
+    terms j >= j_min.  Each nonzero coefficient of a [x^j]p_i adds a
+    shifted f_(M-j) into one coefficient list; the f carry the order."""
+    acc = [0] * (order + 1)
     for i, cols in enumerate(prof):
         for j, series in cols.items():
-            if j < j_min or j > M:
-                continue
-            f = fs[M - j]
-            if f.is_zero():
-                continue
-            acc = acc + series.shift(step * i * (M - j)) * f
-    return acc
+            shift = step * i * (M - j)
+            if j_min <= j <= M and shift <= order:
+                f = fs[M - j].coeffs
+                for n, c in enumerate(series.coeffs[:order + 1 - shift], shift):
+                    if c:
+                        acc[n:] = [u + c * d for u, d in zip(acc[n:], f)]
+    return QSeries(acc, order)
 
 
 def solve_equation(eq: QDifferenceEquation, x_order: int, q_order: int) -> XSeries:
@@ -130,16 +131,20 @@ def solve_equation(eq: QDifferenceEquation, x_order: int, q_order: int) -> XSeri
             raise ZeroDivisionError(
                 f"non-invertible leading recurrence coefficient at M = {M}")
         rhs = _recurrence_sum(prof, m, fs, M, 1, q_order)
-        fs.append(-(rhs * lead.invert()))
+        fs.append(-rhs / lead)
     return XSeries(fs)
 
 
 def _lead_coefficient(prof, m, M, order):
-    acc = QSeries.zero(order)
+    """sum_i [x^0]p_i * q^(m*i*M): the coefficient of f_M in the x^M
+    recurrence, added into one coefficient list."""
+    acc = [0] * (order + 1)
     for i, cols in enumerate(prof):
-        if 0 in cols:
-            acc = acc + cols[0].shift(m * i * M)
-    return acc
+        e = m * i * M
+        if 0 in cols and e <= order:
+            for n, c in enumerate(cols[0].coeffs[:order + 1 - e], e):
+                acc[n] += c
+    return QSeries(acc, order)
 
 
 def evaluate_x1(F: XSeries, order: int) -> QSeries:

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
@@ -1050,7 +1051,8 @@ def bipoly_div_exact_by_profiles(a, b):
 
 # ---------------------------------------------------------------------------
 # Pochhammer and x-series references: products built factor by factor and
-# then inverted, general x-series products and long division, and the
+# then inverted, general x-series products and long division, series
+# inverses and equations solved by invert-then-multiply, and the
 # H-equation built in the variable z = q^M
 # ---------------------------------------------------------------------------
 
@@ -1110,6 +1112,40 @@ def xseries_div(a, b):
             acc = acc - out[k] * b.coeffs[M - k]
         out.append(acc * inv0)
     return XSeries(out)
+
+
+def series_inverse_by_recurrence(s):
+    """QSeries.invert as its own recurrence: 1/s over the nonzero terms
+    of s, in Fractions unless the constant term is +1 or -1."""
+    c0 = s.coeffs[0]
+    if c0 == 0:
+        raise ZeroDivisionError("zero constant term")
+    inv0 = c0 if c0 in (1, -1) else Fraction(1, 1) / c0
+    terms = [(k, c) for k, c in enumerate(s.coeffs) if k and c]
+    out = [inv0] + [0] * s.order
+    for n in range(1, s.order + 1):
+        out[n] = -inv0 * sum(c * out[n - k] for k, c in terms if k <= n)
+    return QSeries(out, s.order)
+
+
+def solve_equation_by_inverse(eq, x_order, q_order):
+    """qseries.solve_equation by inverting and multiplying: each x^M
+    recurrence summed as shifted QSeries products, then multiplied by the
+    inverse of its lead coefficient.  The equation must be polynomial."""
+    assert all(c.is_polynomial() for c in eq.coeffs)
+    prof = [{j: QSeries(ql, q_order) for j, ql in enumerate(c.num.x_profile())
+             if ql} for c in eq.coeffs]
+    fs = [QSeries.one(q_order)]
+    for M in range(1, x_order + 1):
+        lead, rhs = QSeries.zero(q_order), QSeries.zero(q_order)
+        for i, cols in enumerate(prof):
+            for j, series in cols.items():
+                if j == 0:
+                    lead = lead + series.shift(eq.step * i * M)
+                elif j <= M:
+                    rhs = rhs + series.shift(eq.step * i * (M - j)) * fs[M - j]
+        fs.append(-(rhs * series_inverse_by_recurrence(lead)))
+    return XSeries(fs)
 
 
 def x_poch_even(x_order, q_order):

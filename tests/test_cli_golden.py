@@ -30,6 +30,9 @@ CASES = {"dfa-table": ["dfa", "table"],
 # every non-accepting state of the shipped DFA (q6 is its accepting sink)
 for _v in (0, 1, 2, 3, 4, 5, 7):
     CASES[f"dfa-prefixes-q{_v}"] = ["dfa", "prefixes", f"q{_v}"]
+# q0 has no forbidden prefixes: a machine in which no state accepts
+CASES["dfa-prefixes-q0-structured"] = ["dfa", "--format", "structured",
+                                       "prefixes", "q0"]
 for _name, _target in TARGETS.items():
     for _fmt in ("text", "structured"):
         CASES[f"derive-{_name}-{_fmt}"] = (

@@ -16,7 +16,7 @@ from conftest import (CLASS_PREFIXES, CLASS_STATE, GOLDEN_DFA_ACCEPT,
                       state_for_class_by_equivalence, trivial_walk_survival,
                       untrimmed_system)
 from reglinked import linked
-from reglinked.automata import Dfa, Empty, Symbol, parse_regex
+from reglinked.automata import Dfa, Empty, Regex, Symbol, parse_regex
 from reglinked.linked import (
     BlockEncodingError, LpiData, MissingTrivialSymbolError, QDifferenceSystem,
     SpecError, build_forbidden_dfa, derive_system, encode, load_spec,
@@ -292,11 +292,19 @@ def test_state_for_class_start_and_none():
 
 
 def test_state_for_class_matches_equivalence_route():
-    # targets: the empty language, or a union of short words, some starred
+    # targets: the empty language, or a union of short words, some starred;
+    # every other spec forbids a union of short words as prefixes, so its
+    # target machines take the Antimirov pattern-machine branch
     rng = random.Random(2718)
-    found = {True: 0, False: 0}
-    for _ in range(40):
+    found = {(p, w): 0 for p in (0, 1) for w in (True, False)}
+    for k in range(40):
         spec = random_spec(rng)
+        if k % 2:
+            prefixes = "U".join(
+                "".join(rng.choice(spec.alphabet) for _ in range(rng.randint(1, 2)))
+                for _ in range(rng.randint(1, 2)))
+            spec = dataclasses.replace(
+                spec, forbidden_prefixes=parse_regex(prefixes, spec.alphabet))
         for _ in range(6):
             if rng.random() < 0.2:
                 target = Empty()
@@ -308,8 +316,38 @@ def test_state_for_class_matches_equivalence_route():
                 target = parse_regex("U".join(words), spec.alphabet)
             want = state_for_class_by_equivalence(spec, target)
             assert state_for_class(spec, target) == want, (spec, target)
-            found[want is not None] += 1
-    assert min(found.values()) >= 40, found
+            assert (linked._class_target_dfa(spec, target)
+                    == linked._forbidden_language_dfa(spec, target))
+            found[k % 2, want is not None] += 1
+    assert min(found.values()) >= 20, found
+
+
+def _contains(r, sub):
+    return r == sub or any(isinstance(c, Regex) and _contains(c, sub)
+                           for c in vars(r).values())
+
+
+def test_class_targets_reuse_the_cached_forbidden_machine(monkeypatch):
+    spec = nandi_spec()
+    walks = []
+    inner = linked.dfa_from_regex
+
+    def counting(r, alphabet):
+        walks.append(_contains(r, spec.forbidden_patterns))
+        return inner(r, alphabet)
+
+    monkeypatch.setattr(linked, "dfa_from_regex", counting)
+    targets = [parse_regex(CLASS_PREFIXES[a], spec.alphabet) for a in (1, 2, 3)]
+    build_forbidden_dfa.cache_clear()
+    assert [state_for_class(spec, t) for t in targets] == [
+        CLASS_STATE[a] for a in (1, 2, 3)]
+    # one walk over I* X I*: the one that fills build_forbidden_dfa's cache
+    assert walks == [True, False, False, False]
+    assert build_forbidden_dfa.cache_info().misses == 1
+    walks.clear()
+    for t in targets:
+        state_for_class(spec, t)
+    assert walks == [False, False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +527,17 @@ def test_member_matches_full_tail_reference():
                         (spec, p, v)
     assert unencodable
     assert longest_tail >= 2
+
+
+def test_member_rejects_a_state_outside_the_machine():
+    spec = nandi_spec()
+    n = build_forbidden_dfa(spec).num_states
+    # (2, 1) fails the block scan at offset 0; (1,) passes it
+    for p in (Partition((2, 1)), Partition((1,))):
+        for state in (-1, -n, n, 99):
+            with pytest.raises(ValueError, match=f"state {state} is not"):
+                member(p, spec, state)
+        assert member(p, spec, n - 1) == member_by_full_tail(p, spec, n - 1)
 
 
 def test_member_requires_trivial_symbol():

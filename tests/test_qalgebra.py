@@ -5,7 +5,8 @@ import pytest
 
 from conftest import (bipoly_div_exact_by_profiles, bipoly_gcd_by_profiles,
                       mat_identity, mat_inverse_T, mat_mul, product_series,
-                      rf_q_expand, u_div_exact_by_long_division, u_gcd_by_prs)
+                      rf_q_expand, series_inverse_by_recurrence,
+                      u_div_exact_by_long_division, u_gcd_by_prs)
 from reglinked.qalgebra import (
     BiPoly, Q as q, QSeries, RationalFunction, RfMatrix, X as x,
     ExpressionSyntaxError, _u_div_exact, _u_gcd, _u_mul, _u_trim,
@@ -318,9 +319,31 @@ def test_invert_sparse_divisor():
     assert got.coeffs == [1 if n % 7 == 0 else 0 for n in range(31)]
 
 
+@pytest.mark.parametrize("c0", [1, -1, 2, -3])
+def test_division_matches_multiplying_by_the_inverse(c0):
+    rng = random.Random(4100 + c0)
+    for _ in range(60):
+        order = rng.randint(0, 24)
+        a = QSeries([rng.randint(-6, 6) for _ in range(order + 1)], order)
+        b = QSeries([c0] + [rng.choice([0, 0, rng.randint(-4, 4)])
+                            for _ in range(order)], order)
+        got = a / b
+        assert got == a * b.invert() == a * series_inverse_by_recurrence(b)
+        assert got * b == a
+        if c0 in (1, -1):
+            assert all(type(c) is int for c in got.coeffs)
+    # the quotient carries the smaller order
+    a = QSeries(list(range(1, 12)), 10)
+    b = QSeries([c0, 1, 0, -2], 6)
+    assert a / b == a.truncate(6) * series_inverse_by_recurrence(b)
+    assert (a / b).order == (b / a).order == 6
+
+
 def test_invert_zero_constant_term():
     with pytest.raises(ZeroDivisionError):
         QSeries([0, 1, 1], 5).invert()
+    with pytest.raises(ZeroDivisionError):
+        QSeries.one(5) / QSeries([0, 1, 1], 5)
 
 
 def test_euler_sum_equals_inverse_product_at_q():

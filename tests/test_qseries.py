@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (GOLDEN_EQUATION, h_equation_by_z_form, x_poch_even,
-                      xseries_div, xseries_mul)
+from conftest import (GOLDEN_EQUATION, h_equation_by_z_form,
+                      solve_equation_by_inverse, x_poch_even, xseries_div,
+                      xseries_mul)
 from reglinked.linked import series_from_system
 from reglinked.murraymiller import QDifferenceEquation
 from reglinked.partitions import count_all_class_series
@@ -92,6 +93,16 @@ def test_solve_distinct_parts_equation():
         want = (QSeries.monomial(1, M * (M + 1) // 2, 25)
                 * poch_finite(-1, 1, 1, M, 25).invert())
         assert F.coeffs[M] == want
+
+
+def test_solve_with_a_non_unit_lead_matches_the_inverse_route():
+    # 3 F(x) = (3 + x q) F(x q): each lead 3 - 3 q^M has constant term 3,
+    # so f_M = q^M f_(M-1) / (3 (1 - q^M)) divides in Fractions
+    eq = eq_of([3, -(3 + x * q)], step=1)
+    got = solve_equation(eq, 6, 20)
+    assert got == solve_equation_by_inverse(eq, 6, 20)
+    assert got.coeffs[2][3] == Fraction(1, 9)
+    assert equation_residual(eq, got).is_zero()
 
 
 def test_solve_matches_system_series(nandi_system):
