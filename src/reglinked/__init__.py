@@ -16,7 +16,7 @@ from .partitions import (
 )
 from .qalgebra import (
     BiPoly, QSeries, Q, RationalFunction, RfMatrix, X, parse_rational,
-    poch_finite, poch_inf, pochhammer_inverse,
+    pochhammer_inverse,
 )
 from .automata import (
     Dfa, Regex, dfa_from_regex, min_forbidden_prefixes, minimize, parse_regex,

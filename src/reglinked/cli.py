@@ -211,14 +211,12 @@ def main(argv=None):
             return cmd_dfa(args, out)
         if args.command == "derive":
             return cmd_derive(args, out)
-        if args.command == "verify":
-            if args.order < 0:
-                parser.error("--order must be >= 0")
-            return cmd_verify(args, out)
+        if args.order < 0:
+            parser.error("--order must be >= 0")
+        return cmd_verify(args, out)
     except (SpecError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ symbol sequence (padded with the trivial symbol), avoids both.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 
@@ -240,16 +240,6 @@ def sigma_star(spec):
     return Star(union_all([Symbol(s) for s in spec.alphabet]))
 
 
-def _forbidden_language_dfa(spec, prefixes: Regex) -> Dfa:
-    """Minimal DFA for  I* X I*  union  L(prefixes) I*."""
-    istar = sigma_star(spec)
-    r = automata.Union(
-        concat_all([istar, spec.forbidden_patterns, istar]),
-        automata.Concat(prefixes, istar),
-    )
-    return dfa_from_regex(r, spec.alphabet)
-
-
 @lru_cache(maxsize=64)
 def build_forbidden_dfa(spec: LinkedSpec) -> Dfa:
     """Minimal DFA for  I* X I*  union  X' I*  (canonical numbering).
@@ -257,7 +247,10 @@ def build_forbidden_dfa(spec: LinkedSpec) -> Dfa:
     Its start state is never accepting because neither language contains
     the empty word.
     """
-    return _forbidden_language_dfa(spec, spec.forbidden_prefixes)
+    istar = sigma_star(spec)
+    return dfa_from_regex(automata.Union(
+        concat_all([istar, spec.forbidden_patterns, istar]),
+        automata.Concat(spec.forbidden_prefixes, istar)), spec.alphabet)
 
 
 @dataclass(frozen=True)
@@ -275,7 +268,10 @@ class QDifferenceSystem:
     seed: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.seed) != len(self.labels) or set(self.seed) - {0, 1}:
+        n = len(self.labels)
+        if {len(set(self.labels)), self.matrix.nrows, self.matrix.ncols} != {n}:
+            raise ValueError(f"labels must be distinct and the matrix {n} x {n}")
+        if len(self.seed) != n or set(self.seed) - {0, 1}:
             raise ValueError("seed must hold a 0 or 1 per label")
 
     def row_of(self, label):
@@ -312,11 +308,8 @@ def derive_system(spec: LinkedSpec) -> QDifferenceSystem:
 
 
 def _class_target_dfa(spec: LinkedSpec, extra_prefixes: Regex) -> Dfa:
-    """_forbidden_language_dfa(spec, extra_prefixes) as a minimal union:
-    the pattern machine for I* X I* (the cached forbidden DFA itself when
-    X' is empty) and the small machine for L(extra_prefixes) I*."""
-    pattern = (build_forbidden_dfa(spec) if isinstance(spec.forbidden_prefixes, Empty)
-               else _forbidden_language_dfa(spec, Empty()))
+    """Minimal DFA for  I* X I*  union  L(extra_prefixes) I*."""
+    pattern = build_forbidden_dfa(replace(spec, forbidden_prefixes=Empty()))
     return automata.dfa_union(pattern, dfa_from_regex(
         automata.Concat(extra_prefixes, sigma_star(spec)), spec.alphabet))
 
@@ -329,8 +322,10 @@ def state_for_class(spec: LinkedSpec, extra_prefixes: Regex):
     state is minimal too; its canonical numbering therefore equals the
     (minimal, canonical) target machine exactly when the languages agree.
     """
-    target = _class_target_dfa(spec, extra_prefixes)
+    # this lookup first: with X' empty it keys the cache entry by this spec
+    # object, which the many member lookups then hit by identity, not by ==
     dfa = build_forbidden_dfa(spec)
+    target = _class_target_dfa(spec, extra_prefixes)
     for v in range(dfa.num_states):
         if v not in dfa.accept and automata.reachable_from(dfa, v) == target:
             return v

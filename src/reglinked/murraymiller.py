@@ -107,10 +107,8 @@ def triangularize(sys: QDifferenceSystem):
             return s, p
         entries = [list(r) for r in p.entries]
         if p[row, s].is_zero():
-            t = next((j for j in range(s + 1, n) if not p[row, j].is_zero()), None)
-            if t is None:
-                # unreachable: the all-zero test above would have returned
-                raise TriangularizationError("no pivot available for the swap")
+            # a pivot exists: the test above found a nonzero entry past column s
+            t = next(j for j in range(s + 1, n) if not p[row, j].is_zero())
             entries[s], entries[t] = entries[t], entries[s]
             for r in entries:
                 r[s], r[t] = r[t], r[s]
@@ -130,7 +128,6 @@ def triangularize(sys: QDifferenceSystem):
             for j, tj in tail:
                 r[j] = r[j] - c * tj
         p = RfMatrix(entries)
-    raise TriangularizationError("loop left without returning")  # unreachable
 
 
 def eliminate(l_prime: int, p: RfMatrix, step: int) -> QDifferenceEquation:
@@ -174,15 +171,13 @@ def eliminate(l_prime: int, p: RfMatrix, step: int) -> QDifferenceEquation:
     if any(j != 0 for j, _ in terms):
         raise TriangularizationError("elimination left more than one component")
     shifts = sorted(k for (_, k) in terms)
-    if not shifts:
-        raise TriangularizationError("elimination produced the trivial equation")
     kmin = shifts[0]
     coeffs = []
     for k in range(kmin, shifts[-1] + 1):
         c = terms.get((0, k), zero)
         coeffs.append(c.shift_x(-step * kmin))
-    # the extreme shifts carry nonzero coefficients by construction, so the
-    # list is already trimmed; the constructor enforces it
+    # terms holds only nonzero values, and its lowest shift holds just the -1
+    # that each substitution moved one shift down: nonempty and trimmed
     return QDifferenceEquation(step, tuple(coeffs))
 
 

@@ -181,14 +181,6 @@ class BiPoly:
     def monomial(cls, c, i, j):
         return cls({(i, j): c})
 
-    @classmethod
-    def var_x(cls):
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def var_q(cls):
-        return cls({(0, 1): 1})
-
     # -- structure ----------------------------------------------------------
 
     def is_zero(self):
@@ -349,8 +341,8 @@ class BiPoly:
         return f"BiPoly({self})"
 
 
-X = BiPoly.var_x()
-Q = BiPoly.var_q()
+X = BiPoly({(1, 0): 1})
+Q = BiPoly({(0, 1): 1})
 
 
 def _render_q_poly(pairs):
@@ -802,16 +794,6 @@ def _poch_exponents(c, start, step, n, order):
         if c and min(exponents, default=0) < 0:
             raise ValueError(f"factor exponent {min(exponents)} is negative")
     return exponents if c else ()
-
-
-def poch_inf(c, start, step, order):
-    """Truncation of prod_{j>=0} (1 + c*q^(start + j*step))."""
-    return QSeries.one(order).mul_poch(c, start, step)
-
-
-def poch_finite(c, start, step, n, order):
-    """Truncation of prod_{0<=j<n} (1 + c*q^(start + j*step))."""
-    return QSeries.one(order).mul_poch(c, start, step, n)
 
 
 def pochhammer_inverse(residues, modulus, order):

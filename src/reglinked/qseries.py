@@ -15,7 +15,7 @@ from . import murraymiller as _mm
 from .automata import parse_regex
 from .murraymiller import QDifferenceEquation
 from .qalgebra import (
-    BiPoly, QSeries, RationalFunction, pochhammer_inverse,
+    BiPoly, Q, QSeries, RationalFunction, X, pochhammer_inverse,
     rf_x_coefficient_series,
 )
 
@@ -30,8 +30,8 @@ class StabilizationError(ArithmeticError):
 
 class XSeries:
     """Formal series sum_M f_M(q) x^M truncated at x-order L; every f_M is a
-    QSeries of one common q-order.  Coefficients below M = 0 are zero by
-    convention."""
+    QSeries of one common q-order (shared, not copied: no QSeries changes
+    once built).  Coefficients below M = 0 are zero by convention."""
 
     __slots__ = ("coeffs",)
 
@@ -40,17 +40,11 @@ class XSeries:
         if not coeffs:
             raise ValueError("need at least the x^0 coefficient")
         t = min(c.order for c in coeffs)
-        self.coeffs = [c.truncate(t) for c in coeffs]
-
-    @classmethod
-    def zero(cls, x_order, q_order):
-        return cls([QSeries.zero(q_order) for _ in range(x_order + 1)])
+        self.coeffs = [c if c.order == t else c.truncate(t) for c in coeffs]
 
     @classmethod
     def one(cls, x_order, q_order):
-        out = cls.zero(x_order, q_order)
-        out.coeffs[0] = QSeries.one(q_order)
-        return out
+        return cls([QSeries.one(q_order)] + [QSeries.zero(q_order)] * x_order)
 
     @property
     def x_order(self):
@@ -66,17 +60,23 @@ class XSeries:
         return self.coeffs[M]
 
     def mul_one_plus_x(self, c, e):
-        """Multiply by (1 + c * x * q^e)."""
+        """Multiply by (1 + c * x * q^e), e >= 0: one list pass per f_M."""
+        if e < 0:
+            raise ValueError("negative q-shift on a series")
         out = [self.coeffs[0]]
         for M in range(1, self.x_order + 1):
-            out.append(self.coeffs[M] + self.coeffs[M - 1].shift(e) * c)
+            f, low = self.coeffs[M].coeffs, self.coeffs[M - 1].coeffs
+            out.append(QSeries(f[:e] + [u + c * d for u, d in zip(f[e:], low)]))
         return XSeries(out)
 
     def div_one_plus_x(self, c, e):
-        """Divide by (1 + c * x * q^e)."""
+        """Divide by (1 + c * x * q^e), e >= 0: one list pass per f_M."""
+        if e < 0:
+            raise ValueError("negative q-shift on a series")
         out = [self.coeffs[0]]
         for M in range(1, self.x_order + 1):
-            out.append(self.coeffs[M] - out[M - 1].shift(e) * c)
+            f, low = self.coeffs[M].coeffs, out[M - 1].coeffs
+            out.append(QSeries(f[:e] + [u - c * d for u, d in zip(f[e:], low)]))
         return XSeries(out)
 
     def __eq__(self, other):
@@ -250,7 +250,11 @@ def transform_chain(a: int, x_order: int, q_order: int) -> TransformChain:
 
 def closed_form_i(a: int, M: int, order: int) -> QSeries:
     """(-1)^M q^(M(M+2t)) / ((-q^(1+s);q)_(2M) (q^2;q^2)_M), truncated."""
-    s, t = CLASS_ST[a]
+    return _closed_form_term(*CLASS_ST[a], M, order)
+
+
+def _closed_form_term(s, t, M, order):
+    # closed_form_i for the exponents (s, t); _slater_sum sums it untraced
     num = QSeries.monomial((-1) ** M, M * (M + 2 * t), order)
     return num.div_poch(1, 1 + s, 1, 2 * M).div_poch(-1, 2, 2, M)
 
@@ -265,15 +269,13 @@ def g_equation(eq: QDifferenceEquation):
     """
     pivot = max(0, eq.order - 2)
     m = eq.step
-    x = BiPoly.var_x()
-    q = BiPoly.var_q()
     out = []
     for i, p in enumerate(eq.coeffs):
         r = p
         for j in range(i, pivot):
-            r = r * RationalFunction(BiPoly.const(1) - x * q ** (m * j))
+            r = r * RationalFunction(BiPoly.const(1) - X * Q ** (m * j))
         for j in range(pivot, i):
-            r = r / RationalFunction(BiPoly.const(1) - x * q ** (m * j))
+            r = r / RationalFunction(BiPoly.const(1) - X * Q ** (m * j))
         if not r.is_polynomial():
             raise ArithmeticError(
                 "product division is not exact; the equation does not have "
@@ -411,14 +413,11 @@ def euler_check(which: str, x_value, order: int) -> bool:
 
 
 def _slater_sum(s: int, t: int, order: int) -> QSeries:
-    """sum_n (-1)^n q^(n(n+2t)) / ((-q;q)_(2n+s) (q^2;q^2)_n), truncated."""
-    acc = QSeries.zero(order)
-    n = 0
-    while n * (n + 2 * t) <= order:
-        term = QSeries.monomial((-1) ** n, n * (n + 2 * t), order)
-        acc = acc + term.div_poch(1, 1, 1, 2 * n + s).div_poch(-1, 2, 2, n)
-        n += 1
-    return acc
+    """sum_n (-1)^n q^(n(n+2t)) / ((-q;q)_(2n+s) (q^2;q^2)_n), truncated: the
+    closed-form terms over (-q;q)_s, as (-q;q)_(2n+s) = (-q;q)_s (-q^(1+s);q)_(2n)."""
+    terms = [_closed_form_term(s, t, n, order) for n in range(order + 1)
+             if n * (n + 2 * t) <= order]
+    return sum(terms, QSeries.zero(order)).div_poch(1, 1, 1, s)
 
 
 def slater_series(bst, order: int):

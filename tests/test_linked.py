@@ -16,12 +16,13 @@ from conftest import (CLASS_PREFIXES, CLASS_STATE, GOLDEN_DFA_ACCEPT,
                       state_for_class_by_equivalence, trivial_walk_survival,
                       untrimmed_system)
 from reglinked import linked
-from reglinked.automata import Dfa, Empty, Regex, Symbol, parse_regex
+from reglinked.automata import (Concat, Dfa, Empty, Regex, Symbol, Union,
+                                concat_all, dfa_from_regex, parse_regex)
 from reglinked.linked import (
-    BlockEncodingError, LpiData, MissingTrivialSymbolError, QDifferenceSystem,
-    SpecError, build_forbidden_dfa, derive_system, encode, load_spec,
-    lpi_to_spec, member, nandi_spec, nandi_spec_path, parse_spec_text,
-    series_from_system, state_for_class,
+    BlockEncodingError, LinkedSpec, LpiData, MissingTrivialSymbolError,
+    QDifferenceSystem, SpecError, build_forbidden_dfa, derive_system, encode,
+    load_spec, lpi_to_spec, member, nandi_spec, nandi_spec_path,
+    parse_spec_text, series_from_system, state_for_class,
 )
 from reglinked.partitions import (EMPTY, Partition, in_class, partitions_of,
                                   satisfies_nandi)
@@ -294,7 +295,7 @@ def test_state_for_class_start_and_none():
 def test_state_for_class_matches_equivalence_route():
     # targets: the empty language, or a union of short words, some starred;
     # every other spec forbids a union of short words as prefixes, so its
-    # target machines take the Antimirov pattern-machine branch
+    # target machines take I* X I* from a spec other than itself
     rng = random.Random(2718)
     found = {(p, w): 0 for p in (0, 1) for w in (True, False)}
     for k in range(40):
@@ -316,8 +317,12 @@ def test_state_for_class_matches_equivalence_route():
                 target = parse_regex("U".join(words), spec.alphabet)
             want = state_for_class_by_equivalence(spec, target)
             assert state_for_class(spec, target) == want, (spec, target)
-            assert (linked._class_target_dfa(spec, target)
-                    == linked._forbidden_language_dfa(spec, target))
+            # the target may be nullable, so its machine is built from the
+            # regex I* X I* U target I*, not from a LinkedSpec
+            istar = linked.sigma_star(spec)
+            assert linked._class_target_dfa(spec, target) == dfa_from_regex(
+                Union(concat_all([istar, spec.forbidden_patterns, istar]),
+                      Concat(target, istar)), spec.alphabet)
             found[k % 2, want is not None] += 1
     assert min(found.values()) >= 20, found
 
@@ -348,6 +353,31 @@ def test_class_targets_reuse_the_cached_forbidden_machine(monkeypatch):
     for t in targets:
         state_for_class(spec, t)
     assert walks == [False, False, False]
+    # with X' not empty, I* X I* is the cached forbidden DFA of the spec with
+    # X' emptied: the first lookup walks it once (after the spec's own
+    # machine), later lookups walk no I* X I*
+    with_prefixes = dataclasses.replace(
+        spec, forbidden_prefixes=parse_regex("04", spec.alphabet))
+    build_forbidden_dfa.cache_clear()
+    walks.clear()
+    state_for_class(with_prefixes, targets[0])
+    assert walks == [True, True, False]
+    walks.clear()
+    for t in targets:
+        state_for_class(with_prefixes, t)
+    assert walks == [False, False, False]
+    # the shipped spec's cache entry is keyed by that spec object, so the
+    # member lookups after a class lookup find it without comparing specs
+    compared = []
+    spec_eq = LinkedSpec.__eq__
+    monkeypatch.setattr(LinkedSpec, "__eq__",
+                        lambda a, b: compared.append(b) or spec_eq(a, b))
+    build_forbidden_dfa.cache_clear()
+    state_for_class(spec, targets[0])
+    compared.clear()
+    for p in partitions_of(8):
+        member(p, spec, 0)
+    assert compared == []
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +470,18 @@ def test_system_seed_holds_a_0_or_1_per_label():
     for seed in ((), (1, 1), (2,)):
         with pytest.raises(ValueError, match="seed must hold"):
             QDifferenceSystem(1, (0,), matrix, 0, seed)
+
+
+def test_system_matrix_has_one_row_and_column_per_distinct_label():
+    # unchecked, a 1 x 1 matrix over two labels gives the second label the
+    # series 0, and a 2 x 2 matrix over one label fails deep in the walk
+    square = RfMatrix([[1, X], [Q, 1]])
+    for labels, matrix, seed in (((0, 1), RfMatrix([[X * Q]]), (1, 0)),
+                                 ((0,), square, (1,)),
+                                 ((0,), RfMatrix([[1, X]]), (1,)),
+                                 ((0, 0), square, (1, 1))):
+        with pytest.raises(ValueError, match="labels must be distinct and the matrix"):
+            QDifferenceSystem(1, labels, matrix, 0, seed)
 
 
 WITH_TRIVIAL = "alphabet: [0, 1]\npi: {0: [], 1: [1]}"

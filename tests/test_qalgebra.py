@@ -10,8 +10,7 @@ from conftest import (bipoly_div_exact_by_profiles, bipoly_gcd_by_profiles,
 from reglinked.qalgebra import (
     BiPoly, Q as q, QSeries, RationalFunction, RfMatrix, X as x,
     ExpressionSyntaxError, _u_div_exact, _u_gcd, _u_mul, _u_trim,
-    bipoly_div_exact, bipoly_gcd, parse_rational, poch_finite, poch_inf,
-    pochhammer_inverse,
+    bipoly_div_exact, bipoly_gcd, parse_rational, pochhammer_inverse,
 )
 
 
@@ -238,30 +237,31 @@ def test_qseries_arithmetic_and_orders():
 
 
 def test_empty_pochhammer_is_one():
-    assert poch_finite(-1, 1, 1, 0, 8) == QSeries.one(8)
+    assert QSeries.one(8).mul_poch(-1, 1, 1, 0) == QSeries.one(8)
 
 
 def test_pochhammer_edge_results():
     # a factor at exponent 0 scales by (1 + c), and a zero factor kills
     # the product
-    assert poch_finite(2, 0, 1, 2, 4) == QSeries([3, 6], 4)
-    assert all(type(c) is int for c in poch_finite(2, 0, 1, 2, 4).coeffs)
-    assert poch_finite(1, 0, 2, 2, 5) == QSeries([2, 0, 2], 5)
-    assert poch_finite(-1, 0, 1, 3, 5) == QSeries.zero(5)
+    assert QSeries.one(4).mul_poch(2, 0, 1, 2) == QSeries([3, 6], 4)
+    assert all(type(c) is int for c in QSeries.one(4).mul_poch(2, 0, 1, 2).coeffs)
+    assert QSeries.one(5).mul_poch(1, 0, 2, 2) == QSeries([2, 0, 2], 5)
+    assert QSeries.one(5).mul_poch(-1, 0, 1, 3) == QSeries.zero(5)
     # no factors
-    assert poch_finite(-1, 1, 1, 0, 4) == QSeries.one(4)
-    assert poch_finite(-1, 1, 1, -2, 4) == QSeries.one(4)
+    assert QSeries.one(4).mul_poch(-1, 1, 1, 0) == QSeries.one(4)
+    assert QSeries.one(4).mul_poch(-1, 1, 1, -2) == QSeries.one(4)
     # factors past the order are 1 at this truncation
-    assert poch_finite(-1, 3, 5, 4, 10) == QSeries([1, 0, 0, -1, 0, 0, 0, 0, -1], 10)
-    assert poch_finite(3, 2, 1, 3, 0) == QSeries.one(0)
-    assert poch_inf(-1, 7, 3, 5) == QSeries.one(5)
-    assert poch_inf(-1, 1, 1, 6) == QSeries([1, -1, -1, 0, 0, 1, 0], 6)
-    assert poch_finite(Fraction(1, 2), 1, 1, 2, 3) == QSeries(
+    assert QSeries.one(10).mul_poch(-1, 3, 5, 4) == QSeries(
+        [1, 0, 0, -1, 0, 0, 0, 0, -1], 10)
+    assert QSeries.one(0).mul_poch(3, 2, 1, 3) == QSeries.one(0)
+    assert QSeries.one(5).mul_poch(-1, 7, 3) == QSeries.one(5)
+    assert QSeries.one(6).mul_poch(-1, 1, 1) == QSeries([1, -1, -1, 0, 0, 1, 0], 6)
+    assert QSeries.one(3).mul_poch(Fraction(1, 2), 1, 1, 2) == QSeries(
         [1, Fraction(1, 2), Fraction(1, 2), Fraction(1, 4)], 3)
     with pytest.raises(ValueError, match="step must be positive"):
-        poch_inf(-1, 1, 0, 5)
+        QSeries.one(5).mul_poch(-1, 1, 0)
     with pytest.raises(ValueError, match="exponents >= 1"):
-        poch_inf(-1, 0, 2, 5)
+        QSeries.one(5).mul_poch(-1, 0, 2)
 
 
 def test_pochhammer_rejects_negative_exponents():
@@ -270,7 +270,7 @@ def test_pochhammer_rejects_negative_exponents():
     s = QSeries([1, 2, 3, 4, 5, 6], 5)
     for start, step, n, bad in ((-1, 1, 2, -1), (2, -3, 2, -1), (4, -2, 5, -4)):
         with pytest.raises(ValueError, match=f"exponent {bad} is negative"):
-            poch_finite(1, start, step, n, 5)
+            QSeries.one(5).mul_poch(1, start, step, n)
         with pytest.raises(ValueError, match=f"exponent {bad} is negative"):
             s.div_poch(1, start, step, n)
         # every factor is 1 when c = 0, wherever it sits
@@ -351,8 +351,9 @@ def test_euler_sum_equals_inverse_product_at_q():
     t = 10
     lhs = QSeries.zero(t)
     for n in range(t + 1):
-        lhs = lhs + QSeries.monomial(1, n, t) * poch_finite(-1, 1, 1, n, t).invert()
-    rhs = poch_inf(-1, 1, 1, t).invert()
+        lhs = (lhs + QSeries.monomial(1, n, t)
+               * QSeries.one(t).mul_poch(-1, 1, 1, n).invert())
+    rhs = QSeries.one(t).mul_poch(-1, 1, 1).invert()
     assert lhs == rhs
 
 

@@ -10,7 +10,7 @@ from reglinked.linked import series_from_system
 from reglinked.murraymiller import QDifferenceEquation
 from reglinked.partitions import count_all_class_series
 from reglinked.qalgebra import (BiPoly, Q as q, QSeries, RationalFunction,
-                                X as x, poch_finite)
+                                X as x)
 from reglinked.qseries import (
     CLASS_ST, XSeries, closed_form_i, double_sum, equation_residual,
     euler_check, evaluate_x1, g_closed_form, g_equation, g_limit_check,
@@ -34,7 +34,7 @@ def eq_of(coeffs, step=2):
 def test_xseries_mul_div_round_trip():
     t = 15
     poch = x_poch_even(8, t)
-    f = XSeries([poch_finite(-1, 1, 1, M, t) for M in range(9)])
+    f = XSeries([QSeries.one(t).mul_poch(-1, 1, 1, M) for M in range(9)])
     assert xseries_div(xseries_mul(f, poch), poch) == f
     assert xseries_mul(xseries_div(f, poch), poch) == f
 
@@ -91,7 +91,7 @@ def test_solve_distinct_parts_equation():
     F = solve_equation(eq_of([1, -(1 + x * q)], step=1), 5, 25)
     for M in range(6):
         want = (QSeries.monomial(1, M * (M + 1) // 2, 25)
-                * poch_finite(-1, 1, 1, M, 25).invert())
+                * QSeries.one(25).mul_poch(-1, 1, 1, M).invert())
         assert F.coeffs[M] == want
 
 
@@ -154,7 +154,8 @@ def test_transform_chain_inverts():
         poch = x_poch_even(L, t)
         H_back = xseries_div(chain.I, poch)
         assert H_back == chain.H
-        G_back = XSeries([H_back.coeffs[M] * poch_finite(1, 1 + s, 1, 2 * M, t)
+        G_back = XSeries([H_back.coeffs[M]
+                          * QSeries.one(t).mul_poch(1, 1 + s, 1, 2 * M)
                           for M in range(L + 1)])
         assert G_back == chain.G
         assert xseries_mul(G_back, poch) == chain.F
@@ -196,9 +197,9 @@ def test_worked_i_recurrences():
     t = 30
     for M in range(1, 9):
         lhs = (chain.I.coeff(M)
-               * poch_finite(-1, 2 * M, 1, 1, t)          # (1 - q^2M)
-               * poch_finite(1, 2 * M, 1, 1, t)           # (1 + q^2M)
-               * poch_finite(1, 2 * M - 1, 1, 1, t)).shift(1)
+               * QSeries.one(t).mul_poch(-1, 2 * M, 1, 1)      # (1 - q^2M)
+               * QSeries.one(t).mul_poch(1, 2 * M, 1, 1)       # (1 + q^2M)
+               * QSeries.one(t).mul_poch(1, 2 * M - 1, 1, 1)).shift(1)
         rhs = -chain.I.coeff(M - 1).shift(2 * M)
         assert lhs == rhs, M
 

@@ -80,3 +80,47 @@ def test_unvalidated_partitions_are_built_only_in_partitions():
     assert {(mod, cls) for mod, cls in calls
             if cls in ("Partition", "MultiplicityVector")} == {
         ("partitions.py", "Partition"), ("partitions.py", "MultiplicityVector")}
+
+
+FUNCTOOLS_CACHES = {"cache", "cached_property", "lru_cache"}
+
+
+def test_every_cache_is_cleared_by_the_benchmark():
+    """Every functools cache in the library decorates a function that is
+    either nandi_spec or cleared by perfbench's clear_caches, so that no
+    "cold" derivation of the benchmark starts warm.  A cache made any other
+    way (say, lru_cache called on a function) is reported too."""
+    cached, stray = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {a.asname or a.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                 for a in node.names if a.name in FUNCTOOLS_CACHES}
+
+        def is_cache(node):
+            node = node.func if isinstance(node, ast.Call) else node
+            return ((isinstance(node, ast.Name) and node.id in names)
+                    or (isinstance(node, ast.Attribute)
+                        and node.attr in FUNCTOOLS_CACHES
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "functools"))
+
+        decorators = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for d in filter(is_cache, node.decorator_list):
+                    cached.add((path.stem, node.name))
+                    decorators.add(id(d.func if isinstance(d, ast.Call) else d))
+        stray += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute)) and is_cache(node)
+                  and id(node) not in decorators]
+    workloads = ROOT / "perfbench" / "workloads.py"
+    clear, = [node for node in ast.parse(workloads.read_text(encoding="utf-8")).body
+              if isinstance(node, ast.FunctionDef) and node.name == "clear_caches"]
+    cleared = {(call.func.value.value.attr, call.func.value.attr)
+               for call in ast.walk(clear)
+               if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+               and call.func.attr == "cache_clear"}
+    assert stray == []
+    assert cached - {("linked", "nandi_spec")} <= cleared, cached - cleared
+    assert ("linked", "build_forbidden_dfa") in cached
