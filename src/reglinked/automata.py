@@ -4,8 +4,8 @@ Supports regexes with union, concatenation and star, turned into DFAs
 through their Antimirov partial derivatives; minimization by Moore
 partition refinement with a canonical breadth-first state numbering, so
 that machines with the same language minimize to equal objects; and
-the union of two machines and the minimal forbidden-prefix languages of
-restarted machines, each read off one product walk.
+the minimal forbidden-prefix languages of restarted machines, read off
+one product walk.
 
 Alphabet symbols are abstract identifiers (strings) with a declared total
 order.  Words are tuples of symbols.
@@ -432,17 +432,6 @@ def minimize(m: Dfa) -> Dfa:
     return _renumber_bfs(m.alphabet,
                          lambda c: [cls[t] for t in trans[member[c]]],
                          cls[0], lambda c: member[c] in reach.accept)
-
-
-def dfa_union(m1: Dfa, m2: Dfa) -> Dfa:
-    """Minimal DFA of L(m1) union L(m2): one walk over the pairs of states
-    reachable from the two start states, then minimized."""
-    if m1.alphabet != m2.alphabet:
-        raise AlphabetError("union of automata over different alphabets")
-    t1, t2 = m1.transitions, m2.transitions
-    return minimize(_renumber_bfs(
-        m1.alphabet, lambda uv: zip(t1[uv[0]], t2[uv[1]]), (m1.start, m2.start),
-        lambda uv: uv[0] in m1.accept or uv[1] in m2.accept))
 
 
 def reachable_from(m: Dfa, v: int) -> Dfa:

@@ -49,9 +49,9 @@ class LinkedSpec:
 
     Derived once, at construction: ``pi_map`` (symbol -> partition), the
     block table (the parts of each image of pi, smallest first -> its
-    symbol; building it is the injectivity check), ``trivial_symbol`` (the
-    symbol of the empty partition, or None when there is none) and the
-    hash.
+    symbol; building it is the injectivity check), the same table to the
+    symbol's alphabet index, ``trivial_symbol`` (the symbol of the empty
+    partition, or None when there is none) and the hash.
     """
 
     m: int
@@ -85,6 +85,9 @@ class LinkedSpec:
                 raise SpecError(f"{name} must not contain the empty word")
         object.__setattr__(self, "pi_map", dict(self.pi))
         object.__setattr__(self, "_symbol_of_block", symbol_of_block)
+        # pi lists the alphabet in order, so this is the DFA's column
+        object.__setattr__(self, "_column_of_block", {
+            p.parts[::-1]: k for k, (_, p) in enumerate(self.pi)})
         object.__setattr__(self, "trivial_symbol", symbol_of_block.get(()))
         # the regex trees hash recursively, and every build_forbidden_dfa
         # lookup hashes the spec
@@ -184,36 +187,6 @@ def nandi_spec_path() -> str:
 # block encoding
 # ---------------------------------------------------------------------------
 
-def _scan_blocks(p: Partition, spec: LinkedSpec):
-    """Name the length-m blocks of p from offset 0 up, stopping at the first
-    block that is not in the image of pi.
-
-    Returns (symbols, None) when every block is named, else (the symbols
-    below the bad block, the bad block's parts).  The parts are read from
-    the smallest up, so a partition that fails low costs only that far.
-    """
-    m = spec.m
-    table = spec._symbol_of_block
-    word = []
-    block = []  # the current block's parts, shifted down by base, smallest first
-    base = 0
-    for part in reversed(p.parts):
-        while part > base + m:
-            sym = table.get(tuple(block))
-            if sym is None:
-                return word, block[::-1]
-            word.append(sym)
-            block = []
-            base += m
-        block.append(part - base)
-    if block:
-        sym = table.get(tuple(block))
-        if sym is None:
-            return word, block[::-1]
-        word.append(sym)
-    return word, None
-
-
 def encode(p: Partition, spec: LinkedSpec):
     """Cut the multiplicity vector into length-m blocks and name each block.
 
@@ -224,10 +197,18 @@ def encode(p: Partition, spec: LinkedSpec):
     BlockEncodingError, naming the lowest offset, when some block is not
     in the image of pi.
     """
-    word, bad = _scan_blocks(p, spec)
-    if bad is not None:
-        raise BlockEncodingError(
-            f"block {bad} at offset {len(word)} not in the image of pi")
+    m = spec.m
+    blocks = [[] for _ in range(-(-p.parts[0] // m) if p.parts else 0)]
+    for part in p.parts:
+        k = (part - 1) // m
+        blocks[k].append(part - k * m)
+    word = []
+    for block in blocks:
+        sym = spec._symbol_of_block.get(tuple(block[::-1]))
+        if sym is None:
+            raise BlockEncodingError(
+                f"block {block} at offset {len(word)} not in the image of pi")
+        word.append(sym)
     return tuple(word)
 
 
@@ -240,17 +221,37 @@ def sigma_star(spec):
     return Star(union_all([Symbol(s) for s in spec.alphabet]))
 
 
+class _ForbiddenDfa(Dfa):
+    """A forbidden-language machine with ``tail_ok``: per state, whether
+    following the trivial symbol from it never enters an accepting state
+    (None when the spec has no trivial symbol)."""
+
+    __slots__ = ("tail_ok",)
+
+
 @lru_cache(maxsize=64)
 def build_forbidden_dfa(spec: LinkedSpec) -> Dfa:
-    """Minimal DFA for  I* X I*  union  X' I*  (canonical numbering).
+    """Minimal DFA for  I* X I*  union  X' I*  (canonical numbering), with
+    its trivial-tail table.
 
     Its start state is never accepting because neither language contains
-    the empty word.
+    the empty word.  Both languages are closed under appending words, so
+    its accepting states are a sink that no word leaves.
     """
     istar = sigma_star(spec)
-    return dfa_from_regex(automata.Union(
+    d = dfa_from_regex(automata.Union(
         concat_all([istar, spec.forbidden_patterns, istar]),
         automata.Concat(spec.forbidden_prefixes, istar)), spec.alphabet)
+    out = _ForbiddenDfa(d.alphabet, d.transitions, d.start, d.accept)
+    out.tail_ok = None
+    if spec.trivial_symbol is not None:
+        # n trivial steps repeat a state, and the accepting sink keeps what
+        # it takes in: the tail enters it iff it is in it after n steps
+        k, ends = d._index[spec.trivial_symbol], range(d.num_states)
+        for _ in range(d.num_states):
+            ends = [d.transitions[v][k] for v in ends]
+        out.tail_ok = tuple(v not in d.accept for v in ends)
+    return out
 
 
 @dataclass(frozen=True)
@@ -307,29 +308,37 @@ def derive_system(spec: LinkedSpec) -> QDifferenceSystem:
     return QDifferenceSystem(spec.m, labels, RfMatrix(rows), dfa.start, seed)
 
 
-def _class_target_dfa(spec: LinkedSpec, extra_prefixes: Regex) -> Dfa:
-    """Minimal DFA for  I* X I*  union  L(extra_prefixes) I*."""
-    pattern = build_forbidden_dfa(replace(spec, forbidden_prefixes=Empty()))
-    return automata.dfa_union(pattern, dfa_from_regex(
-        automata.Concat(extra_prefixes, sigma_star(spec)), spec.alphabet))
-
-
 def state_for_class(spec: LinkedSpec, extra_prefixes: Regex):
     """The non-accepting state whose restarted language is
     I* X I*  union  L(extra_prefixes) I*, or None if no state matches.
 
-    The forbidden DFA is minimal, so the part of it reachable from any
-    state is minimal too; its canonical numbering therefore equals the
-    (minimal, canonical) target machine exactly when the languages agree.
+    Each candidate walks in lockstep with the machine of I* X I* and the
+    machine of L(extra_prefixes) I*; it matches when no reachable triple
+    of states disagrees on acceptance.
     """
     # this lookup first: with X' empty it keys the cache entry by this spec
-    # object, which the many member lookups then hit by identity, not by ==
+    # object, which the many member lookups then hit by identity, not by ==,
+    # and it is then the I* X I* machine itself
     dfa = build_forbidden_dfa(spec)
-    target = _class_target_dfa(spec, extra_prefixes)
-    for v in range(dfa.num_states):
-        if v not in dfa.accept and automata.reachable_from(dfa, v) == target:
-            return v
-    return None
+    pattern = dfa if isinstance(spec.forbidden_prefixes, Empty) else (
+        build_forbidden_dfa(replace(spec, forbidden_prefixes=Empty())))
+    extra = dfa_from_regex(automata.Concat(extra_prefixes, sigma_star(spec)),
+                           spec.alphabet)
+    rows = (dfa.transitions, pattern.transitions, extra.transitions)
+
+    def matches(triple):
+        todo, seen = [triple], {triple}
+        while todo:
+            a, b, c = todo.pop()
+            if (a in dfa.accept) != (b in pattern.accept or c in extra.accept):
+                return False
+            new = set(zip(rows[0][a], rows[1][b], rows[2][c])) - seen
+            seen |= new
+            todo += new
+        return True
+
+    return next((v for v in range(dfa.num_states) if v not in dfa.accept
+                 and matches((v, pattern.start, extra.start))), None)
 
 
 # ---------------------------------------------------------------------------
@@ -418,40 +427,43 @@ def member(p: Partition, spec: LinkedSpec, state=None) -> bool:
     """Decide membership of a partition in the class attached to a state.
 
     A partition with a block outside the image of pi is rejected.  Otherwise
-    its encoded word runs from the state through the forbidden-language
-    machine, then the trivial symbol is followed until a state repeats: from
-    there the trivial trajectory is periodic, so the states seen so far are
-    all it ever visits, and this finite check decides the infinite-tail
-    condition.  A state outside the machine is a ValueError, whatever p.
+    the blocks, named by their alphabet index while the parts are read from
+    the smallest up, step the forbidden-language machine from the state;
+    its accepting states are a sink, so the partition belongs exactly when
+    the trivial tail from the state reached never enters one, which the
+    machine's ``tail_ok`` table records.  A state outside the machine is a
+    ValueError, whatever p.
     """
-    triv = spec.trivial_symbol
-    if triv is None:
+    if spec.trivial_symbol is None:
         raise MissingTrivialSymbolError(
             "no symbol maps to the empty partition; padded sequences do not exist")
-    # a named state costs one cached lookup; otherwise only a partition
-    # that passes the block scan pays for it
-    dfa = None if state is None else build_forbidden_dfa(spec)
-    if state is not None and not 0 <= state < len(dfa.transitions):
+    dfa = build_forbidden_dfa(spec)
+    trans = dfa.transitions
+    if state is None:
+        v = dfa.start
+    elif 0 <= state < len(trans):
+        v = state
+    else:
         raise ValueError(f"state {state} is not a state of the forbidden DFA")
-    word, bad = _scan_blocks(p, spec)
-    if bad is not None:
-        return False
-    if dfa is None:
-        dfa = build_forbidden_dfa(spec)
-    trans, index, accept = dfa.transitions, dfa._index, dfa.accept
-    v = dfa.start if state is None else state
-    for sym in word:
-        if v in accept:
+    m = spec.m
+    table = spec._column_of_block
+    block = []  # the current block's parts, shifted down by base, smallest first
+    base = 0
+    for part in reversed(p.parts):
+        while part > base + m:
+            k = table.get(tuple(block))
+            if k is None:
+                return False
+            v = trans[v][k]
+            block = []
+            base += m
+        block.append(part - base)
+    if block:
+        k = table.get(tuple(block))
+        if k is None:
             return False
-        v = trans[v][index[sym]]
-    k = index[triv]
-    seen = set()
-    while v not in seen:
-        if v in accept:
-            return False
-        seen.add(v)
         v = trans[v][k]
-    return True
+    return dfa.tail_ok[v]
 
 
 # ---------------------------------------------------------------------------

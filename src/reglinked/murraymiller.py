@@ -140,6 +140,8 @@ def eliminate(l_prime: int, p: RfMatrix, step: int) -> QDifferenceEquation:
     component only.  The shift range is then re-based at zero (an x
     substitution), which makes the result representable with indices 0..L.
     """
+    if not 1 <= l_prime <= p.nrows:
+        raise ValueError(f"l_prime {l_prime} is not in 1..{p.nrows}")
     s = l_prime
     zero = RationalFunction.zero()
     terms = {(s - 1, 0): RationalFunction(-1)}

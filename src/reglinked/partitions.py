@@ -210,8 +210,10 @@ def _class_extra_ok(parts, a) -> bool:
 
 
 def in_class(p: Partition, a: int) -> bool:
-    """Membership in the a-th mod-14 class (a = 1, 2, 3)."""
-    return satisfies_nandi(p) and _class_extra_ok(p.parts, a)
+    """Membership in the a-th mod-14 class (a = 1, 2, 3); any other a is a
+    ValueError, whatever p.  The class condition reads only the tail, so
+    it runs first."""
+    return _class_extra_ok(p.parts, a) and satisfies_nandi(p)
 
 
 # ---------------------------------------------------------------------------

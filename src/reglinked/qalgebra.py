@@ -2,9 +2,9 @@
 gcd and exact division (one primitive pseudo-remainder sequence and one
 long division, each written once over a coefficient ring: Z for
 polynomials in q, Z[q] for polynomials in x; a gcd with a single-term
-argument is a monomial in closed form), reduced rational functions,
-a matrix container for them, and truncated q-series with exact rational
-coefficients, which multiply and divide by a Pochhammer product one
+argument is a monomial in closed form, and so is a quotient by a single
+term), reduced rational functions, a matrix container for them, and
+truncated q-series with exact rational coefficients, which multiply and divide by a Pochhammer product one
 linear pass per factor, and divide by another series through one exact
 recurrence over the divisor's nonzero terms (inversion is 1 divided by
 the series).
@@ -392,7 +392,21 @@ def bipoly_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
 
 
 def bipoly_div_exact(a: BiPoly, b: BiPoly) -> BiPoly:
-    """Exact quotient a/b in Z[x, q]; raises ArithmeticError if inexact."""
+    """Exact quotient a/b in Z[x, q]; raises ArithmeticError if inexact.
+
+    A single-term divisor c x^i q^j divides in closed form: each term's
+    exponents drop by (i, j) and its coefficient is divided by c.
+    Otherwise the long division runs in x over Z[q] on the x-profiles.
+    """
+    if len(b.terms) == 1:
+        ((i, j), c), = b.terms.items()
+        out = {}
+        for (k, l), d in a.terms.items():
+            e, r = divmod(d, c)
+            if r or k < i or l < j:
+                raise ArithmeticError("inexact polynomial division")
+            out[k - i, l - j] = e
+        return BiPoly(out)
     return _bipoly_from_profile(_long_div(a.x_profile(), b.x_profile(), _ZQ))
 
 

@@ -16,8 +16,8 @@ from conftest import (CLASS_PREFIXES, CLASS_STATE, GOLDEN_DFA_ACCEPT,
                       state_for_class_by_equivalence, trivial_walk_survival,
                       untrimmed_system)
 from reglinked import linked
-from reglinked.automata import (Concat, Dfa, Empty, Regex, Symbol, Union,
-                                concat_all, dfa_from_regex, parse_regex)
+from reglinked.automata import (Dfa, Empty, Regex, Symbol, dfa_from_regex,
+                                parse_regex)
 from reglinked.linked import (
     BlockEncodingError, LinkedSpec, LpiData, MissingTrivialSymbolError,
     QDifferenceSystem, SpecError, build_forbidden_dfa, derive_system, encode,
@@ -317,12 +317,6 @@ def test_state_for_class_matches_equivalence_route():
                 target = parse_regex("U".join(words), spec.alphabet)
             want = state_for_class_by_equivalence(spec, target)
             assert state_for_class(spec, target) == want, (spec, target)
-            # the target may be nullable, so its machine is built from the
-            # regex I* X I* U target I*, not from a LinkedSpec
-            istar = linked.sigma_star(spec)
-            assert linked._class_target_dfa(spec, target) == dfa_from_regex(
-                Union(concat_all([istar, spec.forbidden_patterns, istar]),
-                      Concat(target, istar)), spec.alphabet)
             found[k % 2, want is not None] += 1
     assert min(found.values()) >= 20, found
 
@@ -342,17 +336,23 @@ def test_class_targets_reuse_the_cached_forbidden_machine(monkeypatch):
         return inner(r, alphabet)
 
     monkeypatch.setattr(linked, "dfa_from_regex", counting)
+    replaced = []
+    spec_replace = linked.replace
+    monkeypatch.setattr(linked, "replace",
+                        lambda *a, **k: replaced.append(a) or spec_replace(*a, **k))
     targets = [parse_regex(CLASS_PREFIXES[a], spec.alphabet) for a in (1, 2, 3)]
     build_forbidden_dfa.cache_clear()
     assert [state_for_class(spec, t) for t in targets] == [
         CLASS_STATE[a] for a in (1, 2, 3)]
-    # one walk over I* X I*: the one that fills build_forbidden_dfa's cache
+    # one walk over I* X I*: the one that fills build_forbidden_dfa's cache;
+    # with X' empty that machine is the pattern machine, so no spec is copied
     assert walks == [True, False, False, False]
     assert build_forbidden_dfa.cache_info().misses == 1
     walks.clear()
     for t in targets:
         state_for_class(spec, t)
     assert walks == [False, False, False]
+    assert replaced == []
     # with X' not empty, I* X I* is the cached forbidden DFA of the spec with
     # X' emptied: the first lookup walks it once (after the spec's own
     # machine), later lookups walk no I* X I*
@@ -366,6 +366,7 @@ def test_class_targets_reuse_the_cached_forbidden_machine(monkeypatch):
     for t in targets:
         state_for_class(with_prefixes, t)
     assert walks == [False, False, False]
+    assert len(replaced) == 4
     # the shipped spec's cache entry is keyed by that spec object, so the
     # member lookups after a class lookup find it without comparing specs
     compared = []
@@ -544,20 +545,42 @@ def test_member_matches_predicates():
                 assert member(p, spec, CLASS_STATE[a]) == in_class(p, a)
 
 
+def _specs_with_prefixes(seed, count):
+    """Seeded random specs whose forbidden prefixes are a union of one or
+    two words of length 1-2."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        spec = random_spec(rng)
+        prefixes = "U".join(
+            "".join(rng.choice(spec.alphabet) for _ in range(rng.randint(1, 2)))
+            for _ in range(rng.randint(1, 2)))
+        out.append(dataclasses.replace(
+            spec, forbidden_prefixes=parse_regex(prefixes, spec.alphabet)))
+    return out
+
+
 def test_member_matches_full_tail_reference():
+    # from the start state (None) and from every state, the accepting ones
+    # included, over specs with and without forbidden prefixes
     unencodable = 0
     longest_tail = 0  # distinct states on a trivial trajectory before it repeats
-    for spec in _reference_specs():
+    accepting = dying = 0
+    for spec in _reference_specs() + _specs_with_prefixes(1414, 10):
         dfa = build_forbidden_dfa(spec)
-        states = [v for v in range(dfa.num_states) if v not in dfa.accept]
+        states = [None, *range(dfa.num_states)]
+        accepting += len(dfa.accept)
         triv = spec.trivial_symbol
-        for v in states:
+        for v in range(dfa.num_states):
+            if v in dfa.accept:
+                continue
             seen = []
             u = v
             while u not in seen:
                 seen.append(u)
                 u = dfa.step(u, triv)
             longest_tail = max(longest_tail, len(seen))
+            dying += any(u in dfa.accept for u in seen)
         for n in range(15):
             for p in partitions_of(n):
                 try:
@@ -569,6 +592,7 @@ def test_member_matches_full_tail_reference():
                         (spec, p, v)
     assert unencodable
     assert longest_tail >= 2
+    assert accepting and dying
 
 
 def test_member_rejects_a_state_outside_the_machine():

@@ -208,6 +208,17 @@ def test_eliminate_one_by_one():
                          RationalFunction._coerce(-(1 + x * q)))
 
 
+def test_eliminate_rejects_l_prime_outside_the_system(nandi_system):
+    system = reorder_first(nandi_system, CLASS_STATE[1])
+    l_prime, p = triangularize(system)
+    assert p.nrows == 7
+    for bad in (0, -1, p.nrows + 1):
+        with pytest.raises(ValueError, match=f"l_prime {bad} is not in 1..7"):
+            eliminate(bad, p, system.step)
+    assert normalize_equation(eliminate(l_prime, p, system.step)) == \
+        golden_equation(1)
+
+
 def test_normalize_idempotent_and_undoes_scaling():
     eq = golden_equation(1)
     assert normalize_equation(eq) == eq

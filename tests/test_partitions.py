@@ -153,6 +153,15 @@ def test_class_examples():
     assert not in_class(Partition((9, 7, 4, 2)), 3)  # contains (7, 4, 2)
 
 
+def test_class_index_is_checked_whatever_the_partition():
+    # (2, 1) fails the base conditions, (5, 2) passes them
+    for p in (Partition((2, 1)), Partition((5, 2)), EMPTY):
+        assert satisfies_nandi(p) == (p != Partition((2, 1)))
+        for a in (0, 4, 7):
+            with pytest.raises(ValueError, match="class index must be 1, 2 or 3"):
+                in_class(p, a)
+
+
 def test_class_extra_conditions_agree_on_lists_and_tuples():
     # the tail predicate against the pattern scan, on every partition
     from reglinked.partitions import _class_extra_ok

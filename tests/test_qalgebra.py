@@ -153,6 +153,35 @@ def test_bipoly_gcd_with_a_single_term_matches_two_copy_reference():
                              lambda a, b: a * b)
 
 
+def test_bipoly_div_exact_by_a_single_term_matches_long_division():
+    # the closed-form quotient by c x^i q^j against the profile long
+    # division: exact quotients, every way to be inexact, a zero dividend
+    rng = random.Random(23)
+    seen = set()
+    cases = [(2 * x**2 * q + 4 * x * q, BiPoly.monomial(2, 1, 1)),  # exact
+             (x * q**3 + q**2, BiPoly.monomial(1, 1, 1)),  # x-exponent 0 < 1
+             (x * q**2 + q, BiPoly.monomial(1, 0, 2)),     # q-exponent 1 < 2
+             (3 * x * q + 6 * x**2 * q, BiPoly.monomial(2, 1, 1)),  # 3 / 2
+             (9 * x * q - 6 * x**2 * q, BiPoly.monomial(-3, 1, 1)),  # exact
+             (7 * x * q, BiPoly.monomial(-2, 0, 1)),       # 7 / -2
+             (BiPoly(), BiPoly.monomial(-5, 2, 3)),
+             (x + q, BiPoly())]
+    for _ in range(1500):
+        t = _random_term(rng)
+        a = rng.choice((_random_term(rng), _random_bipoly(rng)))
+        cases += [(a * t, t), (a, t)]
+    for a, b in cases:
+        got = _outcome(bipoly_div_exact, a, b)
+        assert got == _outcome(bipoly_div_exact_by_profiles, a, b), (a, b)
+        if not isinstance(got, type):
+            assert got * b == a
+        seen.add((got if isinstance(got, type) else "quotient",
+                  b.leading_coefficient() < 0))
+    assert seen == {("quotient", False), ("quotient", True),
+                    (ArithmeticError, False), (ArithmeticError, True),
+                    (ZeroDivisionError, False)}
+
+
 def test_shift_x_examples():
     assert rf(x).shift_x(2) == rf(x * q**2)
     a = (x**2 + x * q) / (1 + q**3)
