@@ -51,7 +51,8 @@ class LinkedSpec:
     block table (the parts of each image of pi, smallest first -> its
     symbol; building it is the injectivity check), the same table to the
     symbol's alphabet index, ``trivial_symbol`` (the symbol of the empty
-    partition, or None when there is none) and the hash.
+    partition, or None when there is none), the spec with X' emptied
+    (itself when X' is empty) and the hash.
     """
 
     m: int
@@ -89,6 +90,9 @@ class LinkedSpec:
         object.__setattr__(self, "_column_of_block", {
             p.parts[::-1]: k for k, (_, p) in enumerate(self.pi)})
         object.__setattr__(self, "trivial_symbol", symbol_of_block.get(()))
+        object.__setattr__(self, "_pattern_spec", self if isinstance(
+            self.forbidden_prefixes, Empty) else replace(
+                self, forbidden_prefixes=Empty()))
         # the regex trees hash recursively, and every build_forbidden_dfa
         # lookup hashes the spec
         object.__setattr__(self, "_hash", hash(
@@ -318,10 +322,9 @@ def state_for_class(spec: LinkedSpec, extra_prefixes: Regex):
     """
     # this lookup first: with X' empty it keys the cache entry by this spec
     # object, which the many member lookups then hit by identity, not by ==,
-    # and it is then the I* X I* machine itself
+    # and the second lookup is then the same entry
     dfa = build_forbidden_dfa(spec)
-    pattern = dfa if isinstance(spec.forbidden_prefixes, Empty) else (
-        build_forbidden_dfa(replace(spec, forbidden_prefixes=Empty())))
+    pattern = build_forbidden_dfa(spec._pattern_spec)
     extra = dfa_from_regex(automata.Concat(extra_prefixes, sigma_star(spec)),
                            spec.alphabet)
     rows = (dfa.transitions, pattern.transitions, extra.transitions)

@@ -194,19 +194,21 @@ def satisfies_nandi_mult(f: MultiplicityVector) -> bool:
 def _class_extra_ok(parts, a) -> bool:
     """The class-a condition on top of the base difference conditions;
     parts is a weakly decreasing tuple or list, so the parts <= 3 that
-    the conditions name form its tail, and only the tail is read."""
+    the conditions name form its tail, and at most the last four parts
+    are read."""
     if a == 1:
         return not parts or parts[-1] != 1
-    if a not in (2, 3):
-        raise ValueError("class index must be 1, 2 or 3")
-    n = i = len(parts)
-    while i and parts[i - 1] <= 3:
-        i -= 1
     if a == 2:
-        return len(set(parts[i:])) == n - i
+        # four parts <= 3 cannot all differ, so the last four parts show
+        # every repeat the condition forbids
+        tail = parts[-4:]
+        return tail.count(1) < 2 and tail.count(2) < 2 and tail.count(3) < 2
+    if a != 3:
+        raise ValueError("class index must be 1, 2 or 3")
     # the tail is empty, or one 2 that ends no run (2k+3, 2k, ..., 4, 2)
-    return i == n or i == n - 1 and parts[i] == 2 and not _twos_then_three(
-        parts, i)
+    n = len(parts)
+    return not parts or parts[-1] > 3 or parts[-1] == 2 and (
+        n == 1 or parts[-2] > 3) and not _twos_then_three(parts, n - 1)
 
 
 def in_class(p: Partition, a: int) -> bool:
@@ -219,31 +221,6 @@ def in_class(p: Partition, a: int) -> bool:
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
-
-def _walk(n, window_ok, parts):
-    """Yield (rest, parts) for the given prefix and then for every
-    extension of it that window_ok accepts, largest part first
-    (lexicographically decreasing).  parts is one shared list, grown by
-    parts no larger than its last, and rest is n minus the sum of the
-    parts added; a prefix grows only while rest is positive and
-    window_ok(parts, k) holds at its newest index k."""
-    yield n, parts
-    base, x = len(parts), min(n, parts[-1]) if parts else n
-    while True:
-        if x:
-            parts.append(x)
-            n -= x
-            if window_ok(parts, len(parts) - 1):
-                yield n, parts
-                if n:
-                    x = min(n, x)
-                    continue
-        elif len(parts) == base:
-            return
-        x = parts.pop()  # next sibling: the same slot, one smaller
-        n += x
-        x -= 1
-
 
 def partitions_of(n: int):
     """All partitions of n in lexicographically decreasing order, each
@@ -278,13 +255,30 @@ def partitions_of(n: int):
 
 def count_all_class_series(order: int):
     """{a: [c_0..c_order]} for a = 1, 2, 3: one prefix-pruned walk over
-    total weight <= order.  The base class is closed under taking prefixes,
-    so every node the walk reaches is a base-class partition of its own
-    weight, and the class conditions are counted at every node."""
+    total weight <= order, largest part first, growing one list of parts
+    while _window_ok holds at its newest index.  The base class is closed
+    under taking prefixes, so every node is a base-class partition of its
+    own weight, counted for each class whose condition it meets; a node
+    whose last part exceeds 3 meets all three."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    counts = {a: [0] * (order + 1) for a in (1, 2, 3)}
-    for rest, parts in _walk(order, _window_ok, []):
-        for a in (1, 2, 3):
-            counts[a][order - rest] += _class_extra_ok(parts, a)
-    return counts
+    counts = {a: [1] + [0] * order for a in (1, 2, 3)}  # 1: the empty partition
+    one, two, three = counts.values()
+    parts, rest, x = [], order, order
+    while True:
+        if x:
+            parts.append(x)
+            rest -= x
+            if _window_ok(parts, len(parts) - 1):
+                w = order - rest
+                one[w] += x != 1
+                two[w] += x > 3 or _class_extra_ok(parts, 2)
+                three[w] += x > 3 or _class_extra_ok(parts, 3)
+                if rest:
+                    x = min(rest, x)
+                    continue
+        elif not parts:
+            return counts
+        x = parts.pop()  # next sibling: the same slot, one smaller
+        rest += x
+        x -= 1

@@ -715,21 +715,25 @@ class QSeries:
     def mul_poch(self, c, start, step, n=None):
         """Multiply by prod_{0<=j<n} (1 + c*q^(start + j*step)), the
         infinite product when n is None: one pass per factor, from the top
-        coefficient down (so a factor at q^0 scales by 1 + c)."""
+        coefficient down (so a factor at q^0 scales by 1 + c), stopping at
+        the first one it can change unless c is a Fraction."""
         out = list(self.coeffs)
+        low = _leading_int_zeros(out) if type(c) is int else 0
         for e in _poch_exponents(c, start, step, n, self.order):
-            for k in range(self.order, e - 1, -1):
+            for k in range(self.order, low + e - 1, -1):
                 out[k] += c * out[k - e]
         return QSeries(out, self.order)
 
     def div_poch(self, c, start, step, n=None):
         """Divide by the product of `mul_poch`: one pass per factor, from
-        the bottom coefficient up, so each pass reads the coefficients it
-        has already divided."""
+        the first coefficient the factor can change (the bottom one for a
+        Fraction c) up, so each pass reads the coefficients it has already
+        divided."""
         out = list(self.coeffs)
+        low = _leading_int_zeros(out) if type(c) is int else 0
         for e in _poch_exponents(c, start, step, n, self.order):
             if e:
-                for k in range(e, self.order + 1):
+                for k in range(low + e, self.order + 1):
                     out[k] -= c * out[k - e]
             else:  # the constant 1 + c; dividing by -1 keeps an int an int
                 out = [a * (-1 if c == -2 else Fraction(1, 1 + c)) for a in out]
@@ -750,7 +754,10 @@ class QSeries:
         terms = [(k, c) for k, c in enumerate(other.coeffs[1:t + 1], 1) if c]
         unit = c0 in (1, -1)
         out = self.coeffs[:t + 1]
-        for n in range(t + 1):
+        # the quotient keeps the dividend's leading int 0s, unless a
+        # Fraction in a unit divisor would make them Fraction(0)
+        ints = type(c0) is int and all(type(c) is int for _, c in terms)
+        for n in range(_leading_int_zeros(out) if ints or not unit else 0, t + 1):
             s = out[n]
             for k, c in terms:
                 if k > n:
@@ -790,6 +797,13 @@ def _simplify_coeff(c):
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
+
+
+def _leading_int_zeros(coeffs):
+    """How many coefficients at the start are the int 0: an int times them
+    is an int 0, which changes no value and no type where it is added."""
+    return next((k for k, u in enumerate(coeffs) if u or type(u) is not int),
+                len(coeffs))
 
 
 def _poch_exponents(c, start, step, n, order):

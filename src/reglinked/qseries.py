@@ -15,8 +15,8 @@ from . import murraymiller as _mm
 from .automata import parse_regex
 from .murraymiller import QDifferenceEquation
 from .qalgebra import (
-    BiPoly, Q, QSeries, RationalFunction, X, pochhammer_inverse,
-    rf_x_coefficient_series,
+    BiPoly, Q, QSeries, RationalFunction, X, _leading_int_zeros,
+    pochhammer_inverse, rf_x_coefficient_series,
 )
 
 
@@ -91,24 +91,29 @@ class XSeries:
 # ---------------------------------------------------------------------------
 
 def _equation_profile(eq: QDifferenceEquation, order):
-    """Per shift index i, the x-coefficients of p_i as QSeries."""
-    return [rf_x_coefficient_series(c, order) for c in eq.coeffs]
+    """Per shift index i, {j: the nonzero terms (n, c) of [x^j]p_i} through
+    q^order; the expansions' zeros are int 0s, which add nothing."""
+    return [{j: [(n, c) for n, c in enumerate(series.coeffs) if c]
+             for j, series in rf_x_coefficient_series(p, order).items()}
+            for p in eq.coeffs]
 
 
-def _recurrence_sum(prof, step, fs, M, j_min, order):
+def _recurrence_sum(prof, step, fs, lows, M, j_min, order):
     """sum_i sum_{j_min <= j <= M} [x^j]p_i * q^(step*i*(M-j)) * f_(M-j):
     the x^M coefficient of sum_i p_i(x, q) F(x q^(step*i)), from the
     terms j >= j_min.  Each nonzero coefficient of a [x^j]p_i adds a
-    shifted f_(M-j) into one coefficient list; the f carry the order."""
+    shifted f_(M-j) into one coefficient list, an int one from f's
+    leading int zeros lows[M - j] on; the f carry the order."""
     acc = [0] * (order + 1)
     for i, cols in enumerate(prof):
-        for j, series in cols.items():
-            shift = step * i * (M - j)
-            if j_min <= j <= M and shift <= order:
-                f = fs[M - j].coeffs
-                for n, c in enumerate(series.coeffs[:order + 1 - shift], shift):
-                    if c:
-                        acc[n:] = [u + c * d for u, d in zip(acc[n:], f)]
+        for j, terms in cols.items():
+            if j_min <= j <= M:
+                f, low = fs[M - j].coeffs, lows[M - j]
+                for n, c in terms:
+                    z = low if type(c) is int else 0
+                    k = n + step * i * (M - j) + z
+                    if k <= order:
+                        acc[k:] = [u + c * d for u, d in zip(acc[k:], f[z:])]
     return QSeries(acc, order)
 
 
@@ -124,14 +129,15 @@ def solve_equation(eq: QDifferenceEquation, x_order: int, q_order: int) -> XSeri
     # the M = 0 instance must not constrain f_0
     if not _lead_coefficient(prof, m, 0, q_order).is_zero():
         raise ValueError("equation forces F(0) = 0; no solution with f_0 = 1")
-    fs = [QSeries.one(q_order)]
+    fs, lows = [QSeries.one(q_order)], [0]
     for M in range(1, x_order + 1):
         lead = _lead_coefficient(prof, m, M, q_order)
         if lead.coeffs[0] == 0:
             raise ZeroDivisionError(
                 f"non-invertible leading recurrence coefficient at M = {M}")
-        rhs = _recurrence_sum(prof, m, fs, M, 1, q_order)
+        rhs = _recurrence_sum(prof, m, fs, lows, M, 1, q_order)
         fs.append(-rhs / lead)
+        lows.append(_leading_int_zeros(fs[-1].coeffs))
     return XSeries(fs)
 
 
@@ -140,10 +146,9 @@ def _lead_coefficient(prof, m, M, order):
     recurrence, added into one coefficient list."""
     acc = [0] * (order + 1)
     for i, cols in enumerate(prof):
-        e = m * i * M
-        if 0 in cols and e <= order:
-            for n, c in enumerate(cols[0].coeffs[:order + 1 - e], e):
-                acc[n] += c
+        for n, c in cols.get(0, ()):
+            if n + m * i * M <= order:
+                acc[n + m * i * M] += c
     return QSeries(acc, order)
 
 
@@ -159,7 +164,8 @@ def equation_residual(eq: QDifferenceEquation, F: XSeries) -> XSeries:
     F solves the equation through the carried orders."""
     t = F.q_order
     prof = _equation_profile(eq, t)
-    return XSeries([_recurrence_sum(prof, eq.step, F.coeffs, M, 0, t)
+    lows = [_leading_int_zeros(f.coeffs) for f in F.coeffs]
+    return XSeries([_recurrence_sum(prof, eq.step, F.coeffs, lows, M, 0, t)
                     for M in range(F.x_order + 1)])
 
 
@@ -250,11 +256,7 @@ def transform_chain(a: int, x_order: int, q_order: int) -> TransformChain:
 
 def closed_form_i(a: int, M: int, order: int) -> QSeries:
     """(-1)^M q^(M(M+2t)) / ((-q^(1+s);q)_(2M) (q^2;q^2)_M), truncated."""
-    return _closed_form_term(*CLASS_ST[a], M, order)
-
-
-def _closed_form_term(s, t, M, order):
-    # closed_form_i for the exponents (s, t); _slater_sum sums it untraced
+    s, t = CLASS_ST[a]
     num = QSeries.monomial((-1) ** M, M * (M + 2 * t), order)
     return num.div_poch(1, 1 + s, 1, 2 * M).div_poch(-1, 2, 2, M)
 
@@ -366,20 +368,19 @@ def double_sum(a: int, order: int) -> QSeries:
         raise ValueError("class index must be 1, 2 or 3")
     s, t = CLASS_ST[a]
     acc = QSeries.zero(order)
-    i = 0
-    while True:
-        if i * (i - 1) // 2 + (1 + s) * i > order:
-            break
-        j = 0
-        while True:
-            e = (i * (i - 1) // 2 + j * (j - 1) + 2 * i * j
-                 + (1 + s) * i + (1 + 2 * t) * j)
-            if e > order:
-                break
-            term = QSeries.monomial((-1) ** j, e, order)
-            acc = acc + term.div_poch(-1, 1, 1, i).div_poch(-1, 2, 2, j)
+    # term (i, j) is term (i, j-1) times -q^(2i+2j+2t-1) / (1 - q^(2j)), and
+    # term (i, 0) is term (i-1, 0) times q^(i+s) / (1 - q^i); e is the
+    # lowest exponent of a term
+    row, e_row, i = QSeries.one(order), 0, 0
+    while e_row <= order:
+        term, e, j = row, e_row, 0
+        while e <= order:
+            acc = acc + term
             j += 1
+            d = 2 * (i + j + t) - 1
+            term, e = -term.shift(d).div_poch(-1, 2 * j, 2, 1), e + d
         i += 1
+        row, e_row = row.shift(i + s).div_poch(-1, i, 1, 1), e_row + i + s
     return acc
 
 
@@ -389,14 +390,14 @@ def euler_series(which: str, x_value, order: int):
     c, k = x_value
     if c and k < 1:
         raise ValueError("the substituted monomial needs a positive q-power")
-    lhs = QSeries.zero(order)
-    n = 0
-    while True:
-        e = n * k + (n * (n - 1) // 2 if which == "B" else 0)
-        if n and (c == 0 or e > order):
-            break
-        lhs = lhs + QSeries.monomial(c ** n, e, order).div_poch(-1, 1, 1, n)
+    # term n is term n-1 times c q^d / (1 - q^n), d = k (+ n-1 for B), and
+    # e is its lowest exponent; with c = 0 only term 0 is nonzero
+    lhs, term, n, e = QSeries.zero(order), QSeries.one(order), 0, 0
+    while e <= order and (c or not n):
+        lhs = lhs + term
         n += 1
+        d = k + (n - 1 if which == "B" else 0)
+        term, e = (term * c).shift(d).div_poch(-1, n, 1, 1), e + d
     if which == "A":
         rhs = QSeries.one(order).div_poch(-c, k, 1, order + 1)
     elif which == "B":
@@ -414,10 +415,18 @@ def euler_check(which: str, x_value, order: int) -> bool:
 
 def _slater_sum(s: int, t: int, order: int) -> QSeries:
     """sum_n (-1)^n q^(n(n+2t)) / ((-q;q)_(2n+s) (q^2;q^2)_n), truncated: the
-    closed-form terms over (-q;q)_s, as (-q;q)_(2n+s) = (-q;q)_s (-q^(1+s);q)_(2n)."""
-    terms = [_closed_form_term(s, t, n, order) for n in range(order + 1)
-             if n * (n + 2 * t) <= order]
-    return sum(terms, QSeries.zero(order)).div_poch(1, 1, 1, s)
+    closed-form terms over (-q;q)_s, as (-q;q)_(2n+s) = (-q;q)_s (-q^(1+s);q)_(2n).
+    Term n is term n-1 times
+    -q^(2n+2t-1) / ((1+q^(s+2n-1)) (1+q^(s+2n)) (1-q^(2n)))."""
+    acc, term, n, e = QSeries.zero(order), QSeries.one(order), 0, 0
+    while e <= order:
+        acc = acc + term
+        n += 1
+        d = 2 * (n + t) - 1
+        term = -(term.shift(d).div_poch(1, s + 2 * n - 1, 1, 2)
+                 .div_poch(-1, 2 * n, 2, 1))
+        e += d
+    return acc.div_poch(1, 1, 1, s)
 
 
 def slater_series(bst, order: int):
@@ -444,13 +453,16 @@ def remark_single_sum_series(a: int, order: int):
     Returns the two series of the first of these two steps that disagree,
     or of the second when both agree."""
     s, t = CLASS_ST[a]
-    single = QSeries.zero(order)
-    for i in range(order + 2):
-        e = i * (i - 1) // 2 + (1 + s) * i
-        if e > order:
-            break
-        term = QSeries.monomial(1, e, order)
-        single = single + term.div_poch(-1, 1, 1, i).div_poch(-1, 1, 2, i + t)
+    # the single sum sum_i q^(C(i,2)+(1+s)i) / ((q;q)_i (q;q^2)_(i+t)): term
+    # i is term i-1 times q^(i+s) / ((1 - q^i) (1 - q^(2i+2t-1)))
+    single, term = QSeries.zero(order), QSeries.one(order).div_poch(-1, 1, 2, t)
+    i = e = 0
+    while e <= order:
+        single = single + term
+        i += 1
+        term = (term.shift(i + s).div_poch(-1, i, 1, 1)
+                .div_poch(-1, 2 * (i + t) - 1, 1, 1))
+        e += i + s
     lhs, rhs = double_sum(a, order), single.mul_poch(-1, 1, 2)
     if lhs != rhs:
         return lhs, rhs

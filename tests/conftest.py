@@ -10,11 +10,12 @@ from reglinked.automata import (AlphabetError, Concat, Dfa, Empty, Epsilon,
                                 Regex, Star, Symbol, Union, _renumber_bfs,
                                 concat_all, minimize, regex_symbols)
 from reglinked.partitions import (EMPTY, MultiplicityVector, Partition,
-                                  partitions_of)
+                                  _window_ok, partitions_of)
 from reglinked.qalgebra import (BiPoly, Q as q, QSeries, RationalFunction,
                                 RfMatrix, X as x, _bipoly_from_profile,
-                                _u_mul, _u_neg, _u_sub, _u_trim)
-from reglinked.qseries import XSeries
+                                _poch_exponents, _u_mul, _u_neg, _u_sub,
+                                _u_trim, rf_x_coefficient_series)
+from reglinked.qseries import CLASS_ST, XSeries
 
 ONE = BiPoly.const(1)
 
@@ -1210,6 +1211,213 @@ def h_equation_by_z_form(r_coeffs, s: int, step: int):
                 terms[(d, qe + shift)] = terms.get((d, qe + shift), 0) + c
         coeffs.append(RationalFunction(BiPoly(terms)))
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# from-scratch routes of the incremental kernels: factor passes over the
+# whole coefficient list, every summed term built with its whole
+# Pochhammer denominator, the recurrence over every f_M, and the class
+# counts from a generator walk and the scanned class conditions
+# ---------------------------------------------------------------------------
+
+def mul_poch_full(s, c, start, step, n=None):
+    """QSeries.mul_poch with every factor pass over the whole list."""
+    out = list(s.coeffs)
+    for e in _poch_exponents(c, start, step, n, s.order):
+        for k in range(s.order, e - 1, -1):
+            out[k] += c * out[k - e]
+    return QSeries(out, s.order)
+
+
+def div_poch_full(s, c, start, step, n=None):
+    """QSeries.div_poch with every factor pass over the whole list."""
+    out = list(s.coeffs)
+    for e in _poch_exponents(c, start, step, n, s.order):
+        if e:
+            for k in range(e, s.order + 1):
+                out[k] -= c * out[k - e]
+        else:
+            out = [a * (-1 if c == -2 else Fraction(1, 1 + c)) for a in out]
+    return QSeries(out, s.order)
+
+
+def quotient_from_the_bottom(a, b):
+    """QSeries.__truediv__ computing every quotient coefficient."""
+    c0 = b.coeffs[0]
+    if c0 == 0:
+        raise ZeroDivisionError("zero constant term")
+    t = min(a.order, b.order)
+    terms = [(k, c) for k, c in enumerate(b.coeffs[1:t + 1], 1) if c]
+    unit = c0 in (1, -1)
+    out = a.coeffs[:t + 1]
+    for n in range(t + 1):
+        s = out[n] - sum((c * out[n - k] for k, c in terms if k <= n), 0)
+        out[n] = s * c0 if unit else Fraction(s) / c0
+    if not unit:
+        out = [int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
+               for c in out]
+    return QSeries(out, t)
+
+
+def double_sum_by_whole_terms(a, order):
+    """qseries.double_sum, each term a monomial over its whole
+    denominator (q;q)_i (q^2;q^2)_j."""
+    s, t = CLASS_ST[a]
+    acc, i = QSeries.zero(order), 0
+    while i * (i - 1) // 2 + (1 + s) * i <= order:
+        j = 0
+        while True:
+            e = (i * (i - 1) // 2 + j * (j - 1) + 2 * i * j
+                 + (1 + s) * i + (1 + 2 * t) * j)
+            if e > order:
+                break
+            term = QSeries.monomial((-1) ** j, e, order)
+            acc = acc + div_poch_full(div_poch_full(term, -1, 1, 1, i), -1, 2, 2, j)
+            j += 1
+        i += 1
+    return acc
+
+
+def euler_series_by_whole_terms(which, x_value, order):
+    """qseries.euler_series, each sum term c^n q^e over its whole (q;q)_n."""
+    c, k = x_value
+    lhs, n = QSeries.zero(order), 0
+    while True:
+        e = n * k + (n * (n - 1) // 2 if which == "B" else 0)
+        if n and (c == 0 or e > order):
+            break
+        lhs = lhs + div_poch_full(QSeries.monomial(c ** n, e, order), -1, 1, 1, n)
+        n += 1
+    if which == "A":
+        return lhs, div_poch_full(QSeries.one(order), -c, k, 1, order + 1)
+    return lhs, mul_poch_full(QSeries.one(order), c, k, 1, order + 1)
+
+
+def _pochs_full(s, factors):
+    # factors: (multiply?, c, start, step) of infinite products in turn
+    for mul, c, start, step in factors:
+        s = (mul_poch_full if mul else div_poch_full)(s, c, start, step)
+    return s
+
+
+def slater_series_by_whole_terms(bst, order):
+    """qseries.slater_series, term n as (-1)^n q^(n(n+2t)) over its whole
+    (-q^(1+s);q)_(2n) (q^2;q^2)_n."""
+    b, s, t = bst
+    acc = QSeries.zero(order)
+    for n in range(order + 1):
+        if n * (n + 2 * t) <= order:
+            term = QSeries.monomial((-1) ** n, n * (n + 2 * t), order)
+            acc = acc + div_poch_full(div_poch_full(term, 1, 1 + s, 1, 2 * n),
+                                      -1, 2, 2, n)
+    rhs = _pochs_full(QSeries.one(order), [
+        (True, -1, 1, 2), (False, -1, 2, 2), (True, -1, 2 * b, 14),
+        (True, -1, 14 - 2 * b, 14), (True, -1, 14, 14), (False, -1, b, 14),
+        (False, -1, 14 - b, 14)])
+    return div_poch_full(acc, 1, 1, 1, s), rhs
+
+
+def remark_single_sum_series_by_whole_terms(a, order):
+    """qseries.remark_single_sum_series, term i of the single sum as a
+    monomial over its whole (q;q)_i (q;q^2)_(i+t)."""
+    s, t = CLASS_ST[a]
+    single = QSeries.zero(order)
+    for i in range(order + 2):
+        e = i * (i - 1) // 2 + (1 + s) * i
+        if e > order:
+            break
+        term = QSeries.monomial(1, e, order)
+        single = single + div_poch_full(div_poch_full(term, -1, 1, 1, i),
+                                        -1, 1, 2, i + t)
+    lhs = double_sum_by_whole_terms(a, order)
+    rhs = mul_poch_full(single, -1, 1, 2)
+    if lhs != rhs:
+        return lhs, rhs
+    return single, _pochs_full(QSeries.one(order), [
+        (True, -1, a, 7), (True, -1, 7 - a, 7), (True, -1, 7, 7),
+        (True, -1, 7 - 2 * a, 14), (True, -1, 7 + 2 * a, 14),
+        (False, -1, 1, 1), (False, -1, 1, 2)])
+
+
+def _dense_profile(eq, order):
+    return [rf_x_coefficient_series(c, order) for c in eq.coeffs]
+
+
+def _lead_over_every_coefficient(prof, m, M, order):
+    acc = [0] * (order + 1)
+    for i, cols in enumerate(prof):
+        e = m * i * M
+        if 0 in cols and e <= order:
+            for n, c in enumerate(cols[0].coeffs[:order + 1 - e], e):
+                acc[n] += c
+    return QSeries(acc, order)
+
+
+def _recurrence_sum_over_every_f(prof, step, fs, M, j_min, order):
+    acc = [0] * (order + 1)
+    for i, cols in enumerate(prof):
+        for j, series in cols.items():
+            shift = step * i * (M - j)
+            if j_min <= j <= M and shift <= order:
+                f = fs[M - j].coeffs
+                for n, c in enumerate(series.coeffs[:order + 1 - shift], shift):
+                    if c:
+                        acc[n:] = [u + c * d for u, d in zip(acc[n:], f)]
+    return QSeries(acc, order)
+
+
+def solve_equation_over_every_f(eq, x_order, q_order):
+    """qseries.solve_equation over dense expansions of the coefficients,
+    each recurrence reading every f_M whole."""
+    prof = _dense_profile(eq, q_order)
+    if not _lead_over_every_coefficient(prof, eq.step, 0, q_order).is_zero():
+        raise ValueError("equation forces F(0) = 0")
+    fs = [QSeries.one(q_order)]
+    for M in range(1, x_order + 1):
+        lead = _lead_over_every_coefficient(prof, eq.step, M, q_order)
+        if lead.coeffs[0] == 0:
+            raise ZeroDivisionError(f"non-invertible lead at M = {M}")
+        rhs = _recurrence_sum_over_every_f(prof, eq.step, fs, M, 1, q_order)
+        fs.append(-rhs / lead)
+    return XSeries(fs)
+
+
+def equation_residual_over_every_f(eq, F):
+    """qseries.equation_residual, reading every f_M whole."""
+    prof = _dense_profile(eq, F.q_order)
+    return XSeries([_recurrence_sum_over_every_f(prof, eq.step, F.coeffs, M, 0,
+                                                 F.q_order)
+                    for M in range(F.x_order + 1)])
+
+
+def _generator_walk(n, window_ok, parts):
+    # (rest, parts) for the prefix and every extension window_ok accepts
+    yield n, parts
+    base, x = len(parts), min(n, parts[-1]) if parts else n
+    while True:
+        if x:
+            parts.append(x)
+            n -= x
+            if window_ok(parts, len(parts) - 1):
+                yield n, parts
+                if n:
+                    x = min(n, x)
+                    continue
+        elif len(parts) == base:
+            return
+        x = parts.pop()
+        n += x
+        x -= 1
+
+
+def count_all_class_series_by_generator(order):
+    """partitions.count_all_class_series from a generator walk, with the
+    class conditions decided by class_extra_by_scan at every node."""
+    counts = {a: [0] * (order + 1) for a in (1, 2, 3)}
+    for rest, parts in _generator_walk(order, _window_ok, []):
+        for a in (1, 2, 3):
+            counts[a][order - rest] += class_extra_by_scan(parts, a)
+    return counts
 
 
 @pytest.fixture(scope="session")

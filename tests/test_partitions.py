@@ -4,8 +4,9 @@ import random
 import pytest
 
 from conftest import (brute_partition_counts, check_modulus_conditions,
-                      class_extra_by_scan, oplus, phi_minus, phi_plus,
-                      shifted, truncate_gt, truncate_le)
+                      class_extra_by_scan, count_all_class_series_by_generator,
+                      oplus, phi_minus, phi_plus, shifted, truncate_gt,
+                      truncate_le)
 from reglinked.partitions import (
     EMPTY, MultiplicityVector, Partition, weight_monomial,
     count_all_class_series, from_multiplicities, in_class, partitions_of,
@@ -193,6 +194,15 @@ def test_count_class_series_against_independent_enumeration():
     counts = count_all_class_series(24)
     for a in (1, 2, 3):
         assert counts[a] == brute_partition_counts(24, predicate(a))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 5, 13, 40])
+def test_count_class_series_matches_the_generator_walk(order):
+    # the one counting loop against a generator walk that decides every
+    # node by the pattern scan; the counts are ints, not bools
+    counts = count_all_class_series(order)
+    assert counts == count_all_class_series_by_generator(order)
+    assert {type(c) for cs in counts.values() for c in cs} == {int}
 
 
 def test_enumeration_order_is_lex_decreasing():

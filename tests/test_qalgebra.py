@@ -199,7 +199,7 @@ def test_shift_x_is_ring_homomorphism():
         assert (a + b).shift_x(k) == a.shift_x(k) + b.shift_x(k)
 
 
-def _random_bipoly(rng, max_deg=2, max_coef=3):
+def _random_sparse_bipoly(rng, max_deg=2, max_coef=3):
     t = {}
     for _ in range(rng.randint(1, 4)):
         t[(rng.randint(0, max_deg), rng.randint(0, max_deg))] = \
@@ -208,10 +208,10 @@ def _random_bipoly(rng, max_deg=2, max_coef=3):
 
 
 def _random_rf(rng):
-    num = _random_bipoly(rng)
+    num = _random_sparse_bipoly(rng)
     den = BiPoly()
     while den.is_zero():
-        den = _random_bipoly(rng)
+        den = _random_sparse_bipoly(rng)
     return num / den
 
 

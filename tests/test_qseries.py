@@ -3,9 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (GOLDEN_EQUATION, h_equation_by_z_form,
-                      solve_equation_by_inverse, x_poch_even, xseries_div,
+from conftest import (GOLDEN_EQUATION, div_poch_full,
+                      double_sum_by_whole_terms,
+                      equation_residual_over_every_f,
+                      euler_series_by_whole_terms, h_equation_by_z_form,
+                      mul_poch_full, quotient_from_the_bottom,
+                      remark_single_sum_series_by_whole_terms,
+                      slater_series_by_whole_terms, solve_equation_by_inverse,
+                      solve_equation_over_every_f, x_poch_even, xseries_div,
                       xseries_mul)
+from reglinked import qalgebra
 from reglinked.linked import series_from_system
 from reglinked.murraymiller import QDifferenceEquation
 from reglinked.partitions import count_all_class_series
@@ -13,9 +20,10 @@ from reglinked.qalgebra import (BiPoly, Q as q, QSeries, RationalFunction,
                                 X as x)
 from reglinked.qseries import (
     CLASS_ST, XSeries, closed_form_i, double_sum, equation_residual,
-    euler_check, evaluate_x1, g_closed_form, g_equation, g_limit_check,
-    h_equation, nandi_class_state, nandi_equation, nandi_product,
-    remark_single_sum_check, slater_check, solve_equation, transform_chain,
+    euler_check, euler_series, evaluate_x1, g_closed_form, g_equation,
+    g_limit_check, h_equation, nandi_class_state, nandi_equation,
+    nandi_product, remark_single_sum_check, remark_single_sum_series,
+    slater_check, slater_series, solve_equation, transform_chain,
 )
 
 
@@ -314,3 +322,162 @@ def test_grand_equality_small_order():
         dsum = double_sum(a, t)
         solved = evaluate_x1(solve_equation(nandi_equation(a), t, t), t)
         assert brute == prod == dsum == solved
+
+
+# ---------------------------------------------------------------------------
+# the term-ratio sums, the passes from the first nonzero coefficient and
+# the recurrence from each f_M's first nonzero coefficient, against their
+# from-scratch routes: equal coefficients of equal types
+# ---------------------------------------------------------------------------
+
+ORDERS = (0, 1, 2, 3, 5, 13, 40, 100)
+SLATER = ((3, 0, 0), (1, 0, 1), (5, 1, 1))
+
+
+def _typed(*series):
+    return [[(type(c), c) for c in s.coeffs] for s in series]
+
+
+def _typed_x(F):
+    return _typed(*F.coeffs)
+
+
+def _outcome(f, *args):
+    try:
+        return _typed(f(*args))
+    except (ArithmeticError, ValueError) as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_summed_routes_match_whole_term_references(order):
+    for a in (1, 2, 3):
+        assert _typed(double_sum(a, order)) == _typed(
+            double_sum_by_whole_terms(a, order))
+        assert _typed(*remark_single_sum_series(a, order)) == _typed(
+            *remark_single_sum_series_by_whole_terms(a, order))
+    for bst in SLATER:
+        assert _typed(*slater_series(bst, order)) == _typed(
+            *slater_series_by_whole_terms(bst, order))
+    for which in "AB":
+        for c in (0, 1, -1, 2, 3):
+            for k in (1, 2, 3):
+                assert _typed(*euler_series(which, (c, k), order)) == _typed(
+                    *euler_series_by_whole_terms(which, (c, k), order)), (which, c, k)
+
+
+def _random_leading_zeros(rng, order):
+    lead = rng.randint(0, order + 1)
+    zero = rng.choice((0, Fraction(0)))
+    return QSeries([zero] * lead + [rng.choice((0, 1, -2, 3, Fraction(1, 3)))
+                                    for _ in range(order + 1 - lead)], order)
+
+
+def test_poch_passes_match_full_length_passes():
+    rng = random.Random(20)
+    cases = [(QSeries([0, 0, 1, 2], 3), -2, 0, 1, 1),        # 1 - 2 = -1
+             (QSeries([0, 0, 1, 2], 3), Fraction(1, 2), 0, 1, 2),
+             (QSeries([0, 0, 0, 5], 3), Fraction(-3, 2), 1, 1, 3),
+             (QSeries([0, Fraction(0), 4], 2), 2, 1, 1, None),
+             (QSeries.zero(6), 3, 2, 2, 3)]
+    for _ in range(600):
+        order = rng.choice(ORDERS[:7])
+        start = rng.randint(0, 4)
+        cases.append((_random_leading_zeros(rng, order),
+                      rng.choice((1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2))),
+                      start, rng.randint(1, 3),
+                      rng.choice((0, 1, 2, 4, None if start else 3))))
+    for s, c, start, step, n in cases:
+        for method, full in (("mul_poch", mul_poch_full), ("div_poch", div_poch_full)):
+            got = _outcome(getattr(s, method), c, start, step, n)
+            assert got == _outcome(full, s, c, start, step, n), (s, method, c, start, step, n)
+
+
+def test_quotient_from_the_first_nonzero_coefficient_matches_every_coefficient():
+    # unit and other constant terms, int and Fraction divisor terms, and
+    # dividends with int or Fraction leading zeros
+    rng = random.Random(22)
+    for _ in range(600):
+        order = rng.choice(ORDERS[:7])
+        a = _random_leading_zeros(rng, order)
+        b = QSeries([rng.choice((1, -1, 2, -3, Fraction(1), Fraction(1, 2)))]
+                    + [rng.choice((0, 0, 1, -2, Fraction(3, 2)))
+                       for _ in range(rng.randint(0, order))], order)
+        assert _outcome(a.__truediv__, b) == _outcome(quotient_from_the_bottom, a, b), (a, b)
+
+
+def _random_equation(rng):
+    """p_i = (a_i(q) + x-terms) / d(q) with sum_i a_i = 0, so that f_0 = 1
+    is free, and a_0(0) != 0, so that every lead is invertible; a
+    denominator d(0) = 2 makes the coefficients Fractions."""
+    def q_poly(low):
+        return BiPoly({(0, j): rng.randint(-2, 2) for j in range(low, rng.randint(low, 3))})
+
+    shifts = rng.randint(1, 3)
+    a = [q_poly(0) for _ in range(shifts)]
+    if sum(p.terms.get((0, 0), 0) for p in a) == 0:
+        a[0] = a[0] + BiPoly.const(1)
+    a.insert(0, -sum(a, BiPoly()))
+    den = rng.choice((BiPoly.const(1), BiPoly.const(1) - q, BiPoly.const(2) + q))
+    coeffs = []
+    for i, ai in enumerate(a):
+        xs = BiPoly({(rng.randint(1, 2), rng.randint(0, 3)): rng.randint(-2, 2)
+                     for _ in range(rng.randint(0, 2))})
+        if i == shifts and (ai + xs).is_zero():
+            xs = BiPoly.monomial(1, 1, 1)
+        coeffs.append(RationalFunction(ai + xs, den))
+    return QDifferenceEquation(rng.randint(1, 3), tuple(coeffs))
+
+
+def test_recurrences_match_the_route_over_every_f():
+    rng = random.Random(21)
+    cases = [(nandi_equation(a), order) for a in (1, 2, 3) for order in ORDERS]
+    cases += [(_random_equation(rng), rng.choice(ORDERS[:7])) for _ in range(20)]
+    fractions = False
+    for eq, order in cases:
+        x_order = min(order, 40)
+        F = solve_equation(eq, x_order, order)
+        assert _typed_x(F) == _typed_x(solve_equation_over_every_f(eq, x_order, order))
+        fractions |= any(type(c) is Fraction for f in F.coeffs for c in f.coeffs)
+        # a series the equation does not solve, with int and Fraction zeros
+        # before its first nonzero coefficients
+        G = XSeries([_random_leading_zeros(rng, order) for _ in range(x_order + 1)])
+        for H in (F, G):
+            assert _typed_x(equation_residual(eq, H)) == _typed_x(
+                equation_residual_over_every_f(eq, H))
+    assert fractions
+
+
+def test_summed_routes_make_a_linear_number_of_factor_passes(monkeypatch):
+    # one pass per factor (1 + c q^e); a route that rebuilds each term's
+    # whole denominator makes O(terms * order) of them
+    passes = []
+    inner = qalgebra._poch_exponents
+
+    def counting(*args):
+        exponents = inner(*args)
+        passes.append(len(exponents))
+        return exponents
+
+    monkeypatch.setattr(qalgebra, "_poch_exponents", counting)
+
+    def count(f, *args):
+        passes.clear()
+        f(*args)
+        return sum(passes)
+
+    order = 100
+    for a in (1, 2, 3):
+        s, t = CLASS_ST[a]
+        terms = sum(1 for i in range(order + 1) for j in range(order + 1)
+                    if i * (i - 1) // 2 + j * (j - 1) + 2 * i * j
+                    + (1 + s) * i + (1 + 2 * t) * j <= order)
+        assert count(double_sum, a, order) <= 2 * terms
+    # the product side: one factor per exponent through q^order
+    assert count(euler_series, "A", (1, 1), order) <= (order + 1) + 2 * order
+    for b, s, t in SLATER:
+        terms = sum(1 for n in range(order + 1) if n * (n + 2 * t) <= order)
+        product = sum(len(range(e, order + 1, step)) for e, step in (
+            (1, 2), (2, 2), (2 * b, 14), (14 - 2 * b, 14), (14, 14), (b, 14),
+            (14 - b, 14)))
+        assert count(slater_series, (b, s, t), order) <= product + 3 * terms + s
