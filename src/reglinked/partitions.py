@@ -1,9 +1,11 @@
 """Integer partitions and their multiplicity vectors, the mod-14
 difference conditions as executable predicates (in part form and in
-multiplicity form), and the prefix-pruned enumeration walk.
+multiplicity form), enumeration, and the class counts by tail signature.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 
 class Partition:
@@ -154,33 +156,33 @@ def satisfies_nandi(p: Partition) -> bool:
 def satisfies_nandi_mult(f: MultiplicityVector) -> bool:
     """Same class decided on the multiplicity vector alone.
 
-    Scans are bounded by the support of f: every forbidden window must end
-    at an index with a positive entry, so nothing beyond the support can
-    complete a match.  g[i] counts the parts equal to i, zero-padded
-    through i = n + 5, the furthest entry a window reads.
+    g[i] counts the parts equal to i, zero-padded through i = n + 5, the
+    furthest entry a window reads.  Every forbidden window starts at a
+    positive entry, and a sum window that starts at a zero matches one
+    place later too, so windows are tried only from positive entries,
+    which lie within the support of f.
     """
     n = f.support_bound()
     g = (0,) + f.mults + (0,) * 5
     for j in range(1, n + 1):
-        if g[j] and g[j + 1]:
-            return False
-        if g[j] + g[j + 1] + g[j + 2] >= 3:
-            return False
-        if g[j] >= 1 and g[j + 1] == 0 and g[j + 2] == 0 and g[j + 3] >= 2:
-            return False
-    for j in range(1, n // 2 + 2):
-        if g[2 * j] >= 2 and g[2 * j + 1] == 0 and g[2 * j + 2] == 0 and g[2 * j + 3] >= 1:
-            return False
-        if (g[2 * j - 1] >= 2 and g[2 * j] == 0 and g[2 * j + 1] == 0
-                and g[2 * j + 2] == 0 and g[2 * j + 3] >= 1):
-            return False
-        if (g[2 * j - 1] >= 1 and g[2 * j] == 0 and g[2 * j + 1] == 0
-                and g[2 * j + 2] == 0 and g[2 * j + 3] >= 2):
-            return False
-    # windows (>=2, 0, 0, 1, (0,1)^k, 0, 0, >=1) for k >= 0
-    for j in range(1, n + 1):
-        if g[j] < 2 or g[j + 1] or g[j + 2] or g[j + 3] != 1:
+        m = g[j]
+        if not m:
             continue
+        if g[j + 1] or m + g[j + 2] >= 3:
+            return False
+        if g[j + 2]:
+            continue
+        # the windows (m, 0, 0, ...) from j: (>=1, 0, 0, >=2) anywhere,
+        # (>=2, 0, 0, >=1) from an even j, and from an odd j
+        # (>=2, 0, 0, 0, >=1) or (>=1, 0, 0, 0, >=2)
+        third = g[j + 3]
+        if third >= 2 or (m >= 2 and third and j % 2 == 0):
+            return False
+        if j % 2 and not third and g[j + 4] and m + g[j + 4] >= 3:
+            return False
+        if m < 2 or third != 1:
+            continue
+        # windows (>=2, 0, 0, 1, (0,1)^k, 0, 0, >=1) for k >= 0
         k = 0
         while j + 2 * k + 6 <= n:
             if k and (g[j + 2 + 2 * k] != 0 or g[j + 3 + 2 * k] != 1):
@@ -253,32 +255,66 @@ def partitions_of(n: int):
             x[h] = t
 
 
+def _tail_signature(parts):
+    """The canonical tail (marker, b, c) of a nonempty base-class
+    sequence: on it, _window_ok, _class_extra_ok and _twos_then_three
+    decide every extension as they would on the whole sequence.  c and b
+    are the last two parts, b clipped to c + 5 (a gap of 5 or more passes
+    every window; a single part has b = c + 5).  The marker stands for
+    whether _twos_then_three holds at b, which the windows read only when
+    b - c is 2 or 3: it is b + 3 when b - c is 2 or 3 and it holds there,
+    else b + 5.  No
+    earlier part is kept, since the class conditions read only parts
+    <= 3, and a base-class sequence has at most two of them (any three
+    span less than 3)."""
+    c = parts[-1]
+    b = min(parts[-2], c + 5) if len(parts) > 1 else c + 5
+    chained = b - c in (2, 3) and _twos_then_three(parts, len(parts) - 2)
+    return (b + 3 if chained else b + 5, b, c)
+
+
 def count_all_class_series(order: int):
-    """{a: [c_0..c_order]} for a = 1, 2, 3: one prefix-pruned walk over
-    total weight <= order, largest part first, growing one list of parts
-    while _window_ok holds at its newest index.  The base class is closed
-    under taking prefixes, so every node is a base-class partition of its
-    own weight, counted for each class whose condition it meets; a node
-    whose last part exceeds 3 meets all three."""
+    """{a: [c_0..c_order]} for a = 1, 2, 3, by one forward pass over
+    (weight, tail signature).  The base class is closed under taking
+    prefixes, so each of its partitions arises once, from the prefix
+    without its last part x, where _window_ok holds at x; that verdict,
+    the class verdicts and the next signature read the prefix only
+    through _tail_signature.  A part x <= c - 5 after a last part c passes
+    every window and leaves the signature of (x,), so these far moves
+    are added per weight by one suffix sum over c; the near moves,
+    c - 4 <= x <= c, are worked out once per signature."""
     if order < 0:
         raise ValueError("order must be >= 0")
     counts = {a: [1] + [0] * order for a in (1, 2, 3)}  # 1: the empty partition
-    one, two, three = counts.values()
-    parts, rest, x = [], order, order
-    while True:
-        if x:
-            parts.append(x)
-            rest -= x
-            if _window_ok(parts, len(parts) - 1):
-                w = order - rest
-                one[w] += x != 1
-                two[w] += x > 3 or _class_extra_ok(parts, 2)
-                three[w] += x > 3 or _class_extra_ok(parts, 3)
-                if rest:
-                    x = min(rest, x)
-                    continue
-        elif not parts:
-            return counts
-        x = parts.pop()  # next sibling: the same slot, one smaller
-        rest += x
-        x -= 1
+    layers = [defaultdict(int) for _ in range(order + 1)]  # {signature: count}
+    far = [_tail_signature((x,)) for x in range(order + 1)]
+    seen = {}  # signature -> (class verdicts, near moves as (x, signature))
+    for w, layer in enumerate(layers):
+        room = order - w
+        # by_last[c]: the partitions of weight w with last part c, where
+        # c > room + 5 counts as room + 5, as does the empty partition
+        by_last = [0] * (room + 6)
+        if not w:
+            by_last[-1] = 1
+        for sig, k in layer.items():
+            if sig not in seen:
+                c = sig[2]
+                seen[sig] = ([_class_extra_ok(sig, a) for a in (1, 2, 3)],
+                             [(x, _tail_signature(sig + (x,)))
+                              for x in range(max(1, c - 4), c + 1)
+                              if _window_ok(sig + (x,), 3)])
+            verdicts, near = seen[sig]
+            for series, ok in zip(counts.values(), verdicts):
+                if ok:
+                    series[w] += k
+            for x, nxt in near:
+                if x > room:
+                    break
+                layers[w + x][nxt] += k
+            by_last[min(sig[2], room + 5)] += k
+        total = 0
+        for x in range(room, 0, -1):
+            total += by_last[x + 5]
+            if total:
+                layers[w + x][far[x]] += total
+    return counts

@@ -172,6 +172,16 @@ def test_criterion_9_property_suites():
         _property_lpi_difference_two()
 
 
+def test_criterion_10_verify_all_through_q200(capsys):
+    with _Budget(10, 5.0, "verify all --order 200 passes every check"):
+        from reglinked.cli import main
+        code = main(["verify", "all", "--order", "200"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.endswith("all checks passed\n")
+        assert out.count("PASS") == 19
+
+
 def _property_automata():
     from reglinked.automata import Empty, Epsilon, Star, Symbol, Union, Concat
     rng = random.Random(314)

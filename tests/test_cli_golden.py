@@ -26,7 +26,8 @@ CASES = {"dfa-table": ["dfa", "table"],
                                            "--format", "structured"],
          "verify-all-order40": ["verify", "all", "--order", "40"],
          "verify-all-order40-structured": ["verify", "all", "--order", "40",
-                                           "--format", "structured"]}
+                                           "--format", "structured"],
+         "verify-all-order100": ["verify", "all", "--order", "100"]}
 # every non-accepting state of the shipped DFA (q6 is its accepting sink)
 for _v in (0, 1, 2, 3, 4, 5, 7):
     CASES[f"dfa-prefixes-q{_v}"] = ["dfa", "prefixes", f"q{_v}"]

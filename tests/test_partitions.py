@@ -9,9 +9,11 @@ from conftest import (brute_partition_counts, check_modulus_conditions,
                       truncate_le)
 from reglinked.partitions import (
     EMPTY, MultiplicityVector, Partition, weight_monomial,
-    count_all_class_series, from_multiplicities, in_class, partitions_of,
-    satisfies_nandi, satisfies_nandi_mult, to_multiplicities,
+    _class_extra_ok, _tail_signature, _window_ok, count_all_class_series,
+    from_multiplicities, in_class, partitions_of, satisfies_nandi,
+    satisfies_nandi_mult, to_multiplicities,
 )
+from reglinked.qseries import nandi_product
 
 def test_partition_validation():
     with pytest.raises(ValueError):
@@ -137,6 +139,24 @@ def test_base_class_examples():
     assert not satisfies_nandi_mult(to_multiplicities(Partition((11, 8, 6, 3, 3))))
 
 
+def test_mult_form_catches_the_windows_of_twos_after_a_double_part():
+    # (>=2, 0, 0, 1, (0, 1)^k, 0, 0, >=1), from an odd and an even start;
+    # with a single part at the head, or one more zero before the end
+    # from an odd start, the same vectors pass
+    for k in range(4):
+        for lead in ((), (0,)):
+            middle = (0, 0, 1) + (0, 1) * k
+            cases = {(2,) + middle + (0, 0, 1): False,
+                     (2,) + middle + (0, 0, 2): False,
+                     (1,) + middle + (0, 0, 1): True}
+            if not lead:
+                cases[(2,) + middle + (0, 0, 0, 1)] = True
+            for mults, want in cases.items():
+                f = MultiplicityVector(lead + mults)
+                assert satisfies_nandi_mult(f) is want, f
+                assert satisfies_nandi(from_multiplicities(f)) is want, f
+
+
 def test_base_class_part_vs_mult_agreement():
     for n in range(19):
         for p in partitions_of(n):
@@ -165,7 +185,6 @@ def test_class_index_is_checked_whatever_the_partition():
 
 def test_class_extra_conditions_agree_on_lists_and_tuples():
     # the tail predicate against the pattern scan, on every partition
-    from reglinked.partitions import _class_extra_ok
     for n in range(31):
         for p in partitions_of(n):
             for a in (1, 2, 3):
@@ -196,13 +215,47 @@ def test_count_class_series_against_independent_enumeration():
         assert counts[a] == brute_partition_counts(24, predicate(a))
 
 
-@pytest.mark.parametrize("order", [0, 1, 2, 3, 5, 13, 40])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 5, 13, 40, 50, 60])
 def test_count_class_series_matches_the_generator_walk(order):
-    # the one counting loop against a generator walk that decides every
-    # node by the pattern scan; the counts are ints, not bools
+    # the signature counts against a generator walk that visits every
+    # base-class partition and decides it by the pattern scan; the counts
+    # are ints, not bools
     counts = count_all_class_series(order)
     assert counts == count_all_class_series_by_generator(order)
     assert {type(c) for cs in counts.values() for c in cs} == {int}
+
+
+def test_count_class_series_equals_the_products_through_q200():
+    counts = count_all_class_series(200)
+    for a in (1, 2, 3):
+        assert counts[a] == nandi_product(a, 200).coeffs, a
+
+
+def test_tail_signature_decides_every_extension():
+    # group the base-class partitions of weight <= 30 by signature, each
+    # group with the signature itself as a member: for every next part x,
+    # all members must agree on the window at x and on the signature after
+    # x, and all on each class verdict
+    groups = {}
+    for n in range(1, 31):
+        for p in partitions_of(n):
+            if satisfies_nandi(p):
+                groups.setdefault(_tail_signature(p.parts), []).append(p.parts)
+    assert max(map(len, groups.values())) > 100
+
+    def behaviour(parts):
+        moves = []
+        for x in range(1, parts[-1] + 1):
+            longer = parts + (x,)
+            ok = _window_ok(longer, len(parts))
+            moves.append((x, ok, _tail_signature(longer) if ok else None))
+        return [_class_extra_ok(parts, a) for a in (1, 2, 3)], moves
+
+    for sig, members in groups.items():
+        assert _tail_signature(sig) == sig
+        want = behaviour(sig)
+        for parts in members:
+            assert behaviour(parts) == want, (sig, parts)
 
 
 def test_enumeration_order_is_lex_decreasing():
