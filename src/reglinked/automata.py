@@ -450,6 +450,8 @@ def min_forbidden_prefixes(m: Dfa, v: int, x_pattern: Dfa) -> Dfa:
     (state of m, "the state before the last symbol was rejecting", state of
     x_pattern) from (v, False, x_pattern.start), then minimized.
     """
+    if not 0 <= v < m.num_states:
+        raise ValueError(f"state {v} is not a state of the machine")
     if v in m.accept:
         raise ValueError("state is accepting; restarted language contains the empty word")
     if v not in m.reachable():

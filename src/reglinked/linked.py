@@ -25,7 +25,7 @@ from .automata import (
     parse_regex, union_all,
 )
 from .partitions import (
-    EMPTY, MultiplicityVector, Partition, from_multiplicities, weight_monomial,
+    MultiplicityVector, Partition, from_multiplicities, weight_monomial,
 )
 from .qalgebra import BiPoly, QSeries, RationalFunction, RfMatrix
 
@@ -227,10 +227,16 @@ def sigma_star(spec):
 
 class _ForbiddenDfa(Dfa):
     """A forbidden-language machine with ``tail_ok``: per state, whether
-    following the trivial symbol from it never enters an accepting state
-    (None when the spec has no trivial symbol)."""
+    following the trivial symbol from it never enters an accepting state;
+    and the machine composed with the block decoder, whose state
+    s = v * ``width`` + b is state v with open block b, a prefix of an
+    image of pi (b = 0 the empty block).  ``add_part[s][d]`` adds part d to
+    the open block, ``jump[s]`` closes it and opens the next, empty block,
+    and ``final[s]`` closes it for good and answers from ``tail_ok``; a step
+    is None where no image of pi starts that way or the machine enters its
+    accepting sink.  All are None when the spec has no trivial symbol."""
 
-    __slots__ = ("tail_ok",)
+    __slots__ = ("tail_ok", "width", "add_part", "jump", "final")
 
 
 @lru_cache(maxsize=64)
@@ -247,14 +253,29 @@ def build_forbidden_dfa(spec: LinkedSpec) -> Dfa:
         concat_all([istar, spec.forbidden_patterns, istar]),
         automata.Concat(spec.forbidden_prefixes, istar)), spec.alphabet)
     out = _ForbiddenDfa(d.alphabet, d.transitions, d.start, d.accept)
-    out.tail_ok = None
+    out.tail_ok = out.width = out.add_part = out.jump = out.final = None
     if spec.trivial_symbol is not None:
         # n trivial steps repeat a state, and the accepting sink keeps what
         # it takes in: the tail enters it iff it is in it after n steps
-        k, ends = d._index[spec.trivial_symbol], range(d.num_states)
-        for _ in range(d.num_states):
-            ends = [d.transitions[v][k] for v in ends]
+        trans, states = d.transitions, range(d.num_states)
+        k, ends = d._index[spec.trivial_symbol], states
+        for _ in states:
+            ends = [trans[v][k] for v in ends]
         out.tail_ok = tuple(v not in d.accept for v in ends)
+        # open blocks: the parts, smallest first, of a prefix of an image of pi
+        blocks = {(): 0}
+        for block in spec._column_of_block:
+            for i in range(len(block)):
+                blocks.setdefault(block[:i + 1], len(blocks))
+        w = out.width = len(blocks)
+        cols = [spec._column_of_block.get(b) for b in blocks]
+        out.add_part = tuple((None, *(
+            None if (c := blocks.get((*b, part))) is None else v * w + c
+            for part in range(1, spec.m + 1))) for v in states for b in blocks)
+        out.jump = tuple(None if k is None or trans[v][k] in d.accept
+                         else trans[v][k] * w for v in states for k in cols)
+        out.final = tuple(k is not None and out.tail_ok[trans[v][k]]
+                          for v in states for k in cols)
     return out
 
 
@@ -300,8 +321,7 @@ def derive_system(spec: LinkedSpec) -> QDifferenceSystem:
                 continue
             row[col[u]] = row[col[u]] + weights[s]
         rows.append(row)
-    seed = tuple(int(spec.trivial_symbol is not None and member(EMPTY, spec, v))
-                 for v in labels)
+    seed = tuple(int(dfa.tail_ok is not None and dfa.tail_ok[v]) for v in labels)
     live, size = {i for i, s in enumerate(seed) if s}, -1
     while size < len(live):
         size = len(live)
@@ -429,44 +449,38 @@ def series_from_system(sys: QDifferenceSystem, state, order: int, x_value=1):
 def member(p: Partition, spec: LinkedSpec, state=None) -> bool:
     """Decide membership of a partition in the class attached to a state.
 
-    A partition with a block outside the image of pi is rejected.  Otherwise
-    the blocks, named by their alphabet index while the parts are read from
-    the smallest up, step the forbidden-language machine from the state;
-    its accepting states are a sink, so the partition belongs exactly when
-    the trivial tail from the state reached never enters one, which the
-    machine's ``tail_ok`` table records.  A state outside the machine is a
-    ValueError, whatever p.
+    The parts, read from the smallest up, walk the forbidden-language
+    machine composed with the block decoder from the state with the empty
+    block open: one ``add_part`` step per part, after one ``jump`` per
+    length-m block that the part lies beyond.  A step that no image of pi
+    allows rejects the partition, as does a jump into the accepting sink;
+    at the end ``final`` closes the open block and answers by the
+    machine's ``tail_ok`` table, whether the trivial tail never enters the
+    sink.  A state outside the machine is a ValueError, whatever p.
     """
     if spec.trivial_symbol is None:
         raise MissingTrivialSymbolError(
             "no symbol maps to the empty partition; padded sequences do not exist")
     dfa = build_forbidden_dfa(spec)
-    trans = dfa.transitions
     if state is None:
-        v = dfa.start
-    elif 0 <= state < len(trans):
-        v = state
-    else:
+        state = dfa.start
+    elif not 0 <= state < len(dfa.transitions):
         raise ValueError(f"state {state} is not a state of the forbidden DFA")
-    m = spec.m
-    table = spec._column_of_block
-    block = []  # the current block's parts, shifted down by base, smallest first
-    base = 0
+    m, add_part, jump = spec.m, dfa.add_part, dfa.jump
+    s = state * dfa.width
+    base = 0  # the parts of the open block are shifted down by base
     for part in reversed(p.parts):
-        while part > base + m:
-            k = table.get(tuple(block))
-            if k is None:
+        d = part - base
+        while d > m:
+            s = jump[s]
+            if s is None:
                 return False
-            v = trans[v][k]
-            block = []
             base += m
-        block.append(part - base)
-    if block:
-        k = table.get(tuple(block))
-        if k is None:
+            d -= m
+        s = add_part[s][d]
+        if s is None:
             return False
-        v = trans[v][k]
-    return dfa.tail_ok[v]
+    return dfa.final[s]
 
 
 # ---------------------------------------------------------------------------

@@ -394,11 +394,16 @@ def test_min_forbidden_prefixes_errors():
     m = minimize(nandi_pattern_dfa())
     with pytest.raises(ValueError):
         min_forbidden_prefixes(m, 6, _x_pattern())  # accepting state
-    # an unreachable state is rejected as well
+    # an unreachable state is rejected as well, and named apart from a
+    # number that is no state at all
     padded = Dfa(m.alphabet, m.transitions + (tuple([0] * 5),), m.start,
                  m.accept)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^state is not reachable$"):
         min_forbidden_prefixes(padded, 8, _x_pattern())
+    for v in (9, 99, -1):
+        with pytest.raises(ValueError,
+                           match=f"^state {v} is not a state of the machine$"):
+            min_forbidden_prefixes(padded, v, _x_pattern())
 
 
 def test_min_forbidden_prefixes_matches_product_route():

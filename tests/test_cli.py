@@ -62,6 +62,14 @@ def test_dfa_prefixes_bad_state_label(capsys):
     assert err == "error: bad state label 'zz' (expected qN or N)\n"
 
 
+@pytest.mark.parametrize("label", ["q99", "q8", "q-1"])
+def test_dfa_prefixes_state_outside_the_machine(capsys, label):
+    code, out, err = run(capsys, "dfa", "prefixes", label)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: state {label[1:]} is not a state of the machine\n"
+
+
 def test_derive_matches_pipeline(capsys):
     code, out, _ = run(capsys, "derive", "--target", "3U4",
                        "--format", "structured")

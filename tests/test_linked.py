@@ -563,13 +563,61 @@ def _specs_with_prefixes(seed, count):
     return out
 
 
+# block length 3, with images of pi that share the prefix (1,)
+M3_SPECS = ("""
+m: 3
+alphabet: [0, 1, 2, 3, 4]
+pi:
+  0: []
+  1: [1]
+  2: [0, 0, 1]
+  3: [1, 1]
+  4: [0, 2, 1]
+forbidden_patterns: "11U23U303U4"
+""", """
+m: 3
+alphabet: [0, 1, 2, 3]
+pi:
+  0: []
+  1: [0, 1]
+  2: [3]
+  3: [1, 0, 2]
+forbidden_patterns: "12U21U3"
+forbidden_prefixes: "2"
+""")
+
+# (1, 1) is an image of pi, but its prefix (1,) is not
+DOUBLE_ONE_SPEC = """
+m: 2
+alphabet: [0, 1, 2]
+pi:
+  0: []
+  1: [2]
+  2: [0, 1]
+forbidden_patterns: "11U202"
+"""
+
+
+def _skips_two_blocks(p, m):
+    """Whether some part lies three or more blocks above the part before it
+    (or above 0), leaving two whole blocks empty between them."""
+    parts = p.parts[::-1]
+    return any((b - 1) // m - (a - 1) // m > 2
+               for a, b in zip((0, *parts), parts))
+
+
 def test_member_matches_full_tail_reference():
     # from the start state (None) and from every state, the accepting ones
-    # included, over specs with and without forbidden prefixes
+    # included, over specs with and without forbidden prefixes, and specs
+    # for the edges of the block decoder
     unencodable = 0
     longest_tail = 0  # distinct states on a trivial trajectory before it repeats
     accepting = dying = 0
-    for spec in _reference_specs() + _specs_with_prefixes(1414, 10):
+    skip_verdicts = set()
+    edge_specs = [parse_spec_text(t) for t in (*M3_SPECS, DOUBLE_ONE_SPEC)]
+    assert [spec.m for spec in edge_specs] == [3, 3, 2]
+    for spec in (_reference_specs() + _specs_with_prefixes(1414, 10)
+                 + edge_specs):
         dfa = build_forbidden_dfa(spec)
         states = [None, *range(dfa.num_states)]
         accepting += len(dfa.accept)
@@ -590,9 +638,15 @@ def test_member_matches_full_tail_reference():
                     encode(p, spec)
                 except BlockEncodingError:
                     unencodable += 1
+                skips = _skips_two_blocks(p, spec.m)
                 for v in states:
-                    assert member(p, spec, v) == member_by_full_tail(p, spec, v), \
-                        (spec, p, v)
+                    got = member(p, spec, v)
+                    assert got == member_by_full_tail(p, spec, v), (spec, p, v)
+                    if skips:
+                        skip_verdicts.add(got)
+    assert skip_verdicts == {False, True}
+    assert _skips_two_blocks(Partition((9, 1)), 2)
+    assert member(Partition((9, 1)), nandi_spec())
     assert unencodable
     assert longest_tail >= 2
     assert accepting and dying
@@ -607,6 +661,44 @@ def test_member_rejects_a_state_outside_the_machine():
             with pytest.raises(ValueError, match=f"state {state} is not"):
                 member(p, spec, state)
         assert member(p, spec, n - 1) == member_by_full_tail(p, spec, n - 1)
+
+
+def test_member_rejects_a_block_prefix_that_is_no_block():
+    spec = parse_spec_text(DOUBLE_ONE_SPEC)
+    dfa = build_forbidden_dfa(spec)
+    # the open block (1,) takes a second 1 but closes to no block
+    one = dfa.add_part[dfa.start * dfa.width][1]
+    assert one is not None and dfa.add_part[one][1] is not None
+    assert dfa.jump[one] is None and not dfa.final[one]
+    assert not member(Partition((1,)), spec)
+    assert not member(Partition((3, 1)), spec)
+    assert member(Partition((1, 1)), spec)
+    assert member(Partition((4, 1, 1)), spec)
+
+
+def test_member_tables_live_on_the_cached_machine():
+    # nothing is stored on the spec: the shipped spec is never cleared, so
+    # tables kept there would survive build_forbidden_dfa.cache_clear()
+    text = Path(nandi_spec_path()).read_text("utf-8")
+    spec = parse_spec_text(text)
+    fields = set(vars(spec))
+    first = build_forbidden_dfa(spec)
+    assert member(Partition((5, 2)), spec)
+    assert set(vars(spec)) == fields
+    build_forbidden_dfa.cache_clear()
+    again = parse_spec_text(text)
+    assert again == spec and again is not spec
+    assert member(Partition((5, 2)), again)
+    assert build_forbidden_dfa.cache_info().misses == 1
+    fresh = build_forbidden_dfa(again)
+    assert fresh is not first
+    for name in ("add_part", "jump", "final"):
+        assert getattr(fresh, name) == getattr(first, name)
+        assert getattr(fresh, name) is not getattr(first, name)
+    for n in range(13):
+        for p in partitions_of(n):
+            for v in (None, *range(fresh.num_states)):
+                assert member(p, again, v) == member_by_full_tail(p, again, v)
 
 
 def test_member_requires_trivial_symbol():
