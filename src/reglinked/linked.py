@@ -242,7 +242,7 @@ class _ForbiddenDfa(Dfa):
 @lru_cache(maxsize=64)
 def build_forbidden_dfa(spec: LinkedSpec) -> Dfa:
     """Minimal DFA for  I* X I*  union  X' I*  (canonical numbering), with
-    its trivial-tail table.
+    its trivial-tail table and its composition with the block decoder.
 
     Its start state is never accepting because neither language contains
     the empty word.  Both languages are closed under appending words, so
@@ -258,9 +258,9 @@ def build_forbidden_dfa(spec: LinkedSpec) -> Dfa:
         # n trivial steps repeat a state, and the accepting sink keeps what
         # it takes in: the tail enters it iff it is in it after n steps
         trans, states = d.transitions, range(d.num_states)
-        k, ends = d._index[spec.trivial_symbol], states
+        triv, ends = d._index[spec.trivial_symbol], states
         for _ in states:
-            ends = [trans[v][k] for v in ends]
+            ends = [trans[v][triv] for v in ends]
         out.tail_ok = tuple(v not in d.accept for v in ends)
         # open blocks: the parts, smallest first, of a prefix of an image of pi
         blocks = {(): 0}
@@ -269,6 +269,7 @@ def build_forbidden_dfa(spec: LinkedSpec) -> Dfa:
                 blocks.setdefault(block[:i + 1], len(blocks))
         w = out.width = len(blocks)
         cols = [spec._column_of_block.get(b) for b in blocks]
+        # a part is 1..m above the base, so each row starts with a pad
         out.add_part = tuple((None, *(
             None if (c := blocks.get((*b, part))) is None else v * w + c
             for part in range(1, spec.m + 1))) for v in states for b in blocks)
