@@ -496,8 +496,13 @@ def dfa_from_text(text: str) -> Dfa:
             rows[int(key[4:])] = tuple(int(t) for t in value.split())
         else:
             fields[key] = value
-    alphabet = tuple(fields["alphabet"].split())
+    for key in ("alphabet", "states", "start", "accept"):
+        if key not in fields:
+            raise ValueError(f"missing {key} field")
     n = int(fields["states"])
-    table = [rows[v] for v in range(n)]
-    accept = frozenset(int(t) for t in fields["accept"].split()) if fields["accept"] else frozenset()
-    return Dfa(alphabet, table, int(fields["start"]), accept)
+    for v in range(n):
+        if v not in rows:
+            raise ValueError(f"missing row {v}")
+    accept = frozenset(int(t) for t in fields["accept"].split())
+    return Dfa(tuple(fields["alphabet"].split()), [rows[v] for v in range(n)],
+               int(fields["start"]), accept)

@@ -49,8 +49,8 @@ class LinkedSpec:
 
     Derived once, at construction: ``pi_map`` (symbol -> partition), the
     block table (the parts of each image of pi, smallest first -> its
-    symbol; building it is the injectivity check), the same table to the
-    symbol's alphabet index, ``trivial_symbol`` (the symbol of the empty
+    symbol's alphabet index, which is the DFA's column; building it is the
+    injectivity check), ``trivial_symbol`` (the symbol of the empty
     partition, or None when there is none), the spec with X' emptied
     (itself when X' is empty) and the hash.
     """
@@ -71,8 +71,8 @@ class LinkedSpec:
                 raise SpecError(f"alphabet: symbol {s!r} is repeated")
         if tuple(s for s, _ in self.pi) != self.alphabet:
             raise SpecError("pi must list exactly the alphabet symbols, in order")
-        symbol_of_block = {p.parts[::-1]: s for s, p in self.pi}
-        if len(symbol_of_block) != len(self.pi):
+        column_of_block = {p.parts[::-1]: k for k, (_, p) in enumerate(self.pi)}
+        if len(column_of_block) != len(self.pi):
             raise SpecError("pi must be injective")
         for _, p in self.pi:
             if p.parts and p.parts[0] > self.m:
@@ -85,11 +85,11 @@ class LinkedSpec:
             if nullable(r):
                 raise SpecError(f"{name} must not contain the empty word")
         object.__setattr__(self, "pi_map", dict(self.pi))
-        object.__setattr__(self, "_symbol_of_block", symbol_of_block)
-        # pi lists the alphabet in order, so this is the DFA's column
-        object.__setattr__(self, "_column_of_block", {
-            p.parts[::-1]: k for k, (_, p) in enumerate(self.pi)})
-        object.__setattr__(self, "trivial_symbol", symbol_of_block.get(()))
+        # pi lists the alphabet in order, so the index is the DFA's column
+        object.__setattr__(self, "_column_of_block", column_of_block)
+        trivial = column_of_block.get(())
+        object.__setattr__(self, "trivial_symbol",
+                           None if trivial is None else self.alphabet[trivial])
         object.__setattr__(self, "_pattern_spec", self if isinstance(
             self.forbidden_prefixes, Empty) else replace(
                 self, forbidden_prefixes=Empty()))
@@ -208,11 +208,11 @@ def encode(p: Partition, spec: LinkedSpec):
         blocks[k].append(part - k * m)
     word = []
     for block in blocks:
-        sym = spec._symbol_of_block.get(tuple(block[::-1]))
-        if sym is None:
+        col = spec._column_of_block.get(tuple(block[::-1]))
+        if col is None:
             raise BlockEncodingError(
                 f"block {block} at offset {len(word)} not in the image of pi")
-        word.append(sym)
+        word.append(spec.alphabet[col])
     return tuple(word)
 
 

@@ -259,4 +259,7 @@ def equation_from_text(text: str) -> QDifferenceEquation:
             coeffs[int(key[6:])] = parse_rational(value)
     if step is None:
         raise ValueError("missing step field")
+    for i in range(len(coeffs)):
+        if i not in coeffs:
+            raise ValueError(f"missing coeff {i} field")
     return QDifferenceEquation(step, tuple(coeffs[i] for i in range(len(coeffs))))

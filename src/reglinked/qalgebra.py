@@ -17,6 +17,7 @@ equality of functions.
 
 from __future__ import annotations
 
+import ast
 import operator
 from collections import namedtuple
 from fractions import Fraction
@@ -558,7 +559,7 @@ class RationalFunction:
         if len(self.num.terms) > 1:
             ns = f"({ns})"
         ds = str(self.den)
-        if len(self.den.terms) > 1:
+        if len(self.den.terms) > 1 or "*" in ds:  # a/(2*q), not a/2*q
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
@@ -852,114 +853,66 @@ class ExpressionSyntaxError(ValueError):
         self.position = position
 
 
+_EXPR_CHARS = frozenset("0123456789xq+-*/^() \t\n\r\f\v")
+_BLANKS = str.maketrans("\t\n\r\f\v", "     ")  # one line, same length
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
+
+
 def parse_rational(text: str) -> RationalFunction:
     """Parse the textual form emitted by this module back into a value.
 
-    Grammar: integers, x, q, parentheses, unary minus, +, -, *, /, and ^
-    (or **) for powers.  Multiplication must be explicit.
+    Grammar: ASCII decimal integers, x, q, parentheses, unary + and -,
+    binary +, -, *, / and ^ (or **) with a non-negative integer literal as
+    the exponent.  Multiplication must be explicit.  The text is parsed by
+    ``ast`` and the tree is walked, never run.
     """
-    tokens = _tokenize_expr(text)
-    pos = [0]
+    for i, c in enumerate(text):
+        if c not in _EXPR_CHARS:
+            raise ExpressionSyntaxError(f"unexpected character {c!r}", i)
+    body = text.translate(_BLANKS).lstrip()
+    source = body.replace("^", "**")
 
-    def peek():
-        return tokens[pos[0]][0] if pos[0] < len(tokens) else None
+    def fail(message, k):
+        # k indexes source, in which each "^" of body is "**"
+        spots = [i for i, c in enumerate(body) for _ in range(1 + (c == "^"))]
+        at = spots[k] if k < len(spots) else len(body)
+        raise ExpressionSyntaxError(message, len(text) - len(body) + at)
 
-    def take(kind=None):
-        if pos[0] >= len(tokens):
-            raise ExpressionSyntaxError("unexpected end of expression", len(text))
-        tok = tokens[pos[0]]
-        if kind and tok[0] != kind:
-            raise ExpressionSyntaxError(f"expected {kind}, found {tok[0]}", tok[2])
-        pos[0] += 1
-        return tok
+    def literal(node):
+        # of the int literals the allowed characters spell, 0x.. is not decimal
+        return (isinstance(node, ast.Constant)
+                and source[node.col_offset:node.end_col_offset].isdigit())
 
-    def parse_sum():
-        sign = 1
-        while peek() in ("+", "-"):
-            if take()[0] == "-":
-                sign = -sign
-        value = parse_product() * sign
-        while peek() in ("+", "-"):
-            op = take()[0]
-            rhs_sign = 1 if op == "+" else -1
-            while peek() in ("+", "-"):
-                if take()[0] == "-":
-                    rhs_sign = -rhs_sign
-            value = value + parse_product() * rhs_sign
+    def walk(node):
+        # a left-nested chain (a + b - c*d) is folded in a loop, not recursed
+        chain = []
+        while isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            chain.append(node)
+            node = node.left
+        if isinstance(node, ast.Name) and node.id in ("x", "q"):
+            value = RationalFunction(X if node.id == "x" else Q)
+        elif literal(node):
+            value = RationalFunction(node.value)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            value = -walk(node.operand)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
+            value = walk(node.operand)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            if not literal(node.right):
+                fail("exponent must be a non-negative integer",
+                     node.right.col_offset)
+            base, e = walk(node.left), node.right.value
+            value = RationalFunction(base.num ** e, base.den ** e)
+        else:
+            fail("unsupported expression", node.col_offset)
+        for link in reversed(chain):
+            value = _BINARY[type(link.op)](value, walk(link.right))
         return value
 
-    def parse_product():
-        value = parse_power()
-        while peek() in ("*", "/"):
-            op = take()[0]
-            rhs = parse_power()
-            value = value * rhs if op == "*" else value / rhs
-        return value
-
-    def parse_power():
-        base = parse_atom()
-        if peek() == "^":
-            tok = take()
-            etok = take("int")
-            e = etok[1]
-            if e < 0:
-                raise ExpressionSyntaxError("negative exponent", tok[2])
-            out = RationalFunction.one()
-            for _ in range(e):
-                out = out * base
-            return out
-        return base
-
-    def parse_atom():
-        tok = take()
-        kind = tok[0]
-        if kind == "int":
-            return RationalFunction(tok[1])
-        if kind == "x":
-            return RationalFunction(X)
-        if kind == "q":
-            return RationalFunction(Q)
-        if kind == "(":
-            value = parse_sum()
-            take(")")
-            return value
-        if kind == "-":
-            return -parse_atom()
-        raise ExpressionSyntaxError(f"unexpected token {kind!r}", tok[2])
-
-    value = parse_sum()
-    if pos[0] != len(tokens):
-        raise ExpressionSyntaxError("trailing input", tokens[pos[0]][2])
-    return value
-
-
-def _tokenize_expr(text):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-            continue
-        if c in "xq":
-            tokens.append((c, None, i))
-            i += 1
-            continue
-        if text.startswith("**", i):
-            tokens.append(("^", None, i))
-            i += 2
-            continue
-        if c in "+-*/()^":
-            tokens.append((c, None, i))
-            i += 1
-            continue
-        raise ExpressionSyntaxError(f"unexpected character {c!r}", i)
-    return tokens
+    try:
+        return walk(ast.parse(source, mode="eval").body)
+    except SyntaxError as e:
+        fail(e.msg, e.offset - 1 if e.offset else len(source))
+    except RecursionError:
+        fail("expression nested too deeply", 0)

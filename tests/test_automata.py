@@ -487,3 +487,8 @@ def test_dfa_text_round_trip():
     assert dfa_from_text(dfa_to_text(m)) == m
     e = empty_dfa(("a", "b"))
     assert dfa_from_text(dfa_to_text(e)) == e
+    lines = dfa_to_text(m).splitlines(keepends=True)
+    for i, missing in ((0, "alphabet field"), (1, "states field"),
+                       (2, "start field"), (3, "accept field"), (5, "row 1")):
+        with pytest.raises(ValueError, match=f"^missing {missing}$"):
+            dfa_from_text("".join(lines[:i] + lines[i + 1:]))

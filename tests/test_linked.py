@@ -91,7 +91,7 @@ def test_spec_pickle_round_trip():
         back = pickle.loads(pickle.dumps(spec))
         assert back == spec and hash(back) == hash(spec)
         assert back.pi_map == spec.pi_map
-        assert back._symbol_of_block == spec._symbol_of_block
+        assert back._column_of_block == spec._column_of_block
         assert back.trivial_symbol == spec.trivial_symbol
 
 

@@ -289,3 +289,7 @@ def test_empty_class_spec_derives_f_equals_zero_at_once():
 def test_equation_text_round_trip():
     eq = golden_equation(3)
     assert equation_from_text(equation_to_text(eq)) == eq
+    for text, missing in (("coeff 0: 1\n", "step"),
+                          ("step: 2\ncoeff 0: 1\ncoeff 2: x\n", "coeff 1")):
+        with pytest.raises(ValueError, match=f"^missing {missing} field$"):
+            equation_from_text(text)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -480,13 +481,32 @@ def test_series_rendering():
     (x**2 - x**3) / q**2,
     q**3 / (x - BiPoly.const(1)),
     RationalFunction(1, q),
+    *(_random_rf(random.Random(seed)) for seed in range(24)),
 ])
 def test_parse_rational_round_trip(value):
     assert parse_rational(str(value)) == rf(value)
 
 
 def test_parse_rational_errors():
-    with pytest.raises(ExpressionSyntaxError):
-        parse_rational("x +")
-    with pytest.raises(ExpressionSyntaxError):
-        parse_rational("y + 1")
+    # (text, position), with None where the position is Python's own:
+    # characters outside the grammar, non-decimal literals, bad exponents,
+    # implicit products, calls, and inputs nested past the ast builder
+    cases = [("x +", None), ("y + 1", 0), ("\u00b2", 0), ("\u0661", 0),
+             ("1.5", 1), ("0x10", 0), ("x^-1", 2), ("x q", 2), (" x q", 3),
+             ("f(x)", 0), ("x\0", 1), ("-" * 3000 + "1", None),
+             ("(" * 300 + "1" + ")" * 300, None)]
+    for text, position in cases:
+        with pytest.raises(ExpressionSyntaxError) as info:
+            parse_rational(text)
+        assert 0 <= info.value.position <= len(text), text
+        assert position in (None, info.value.position), text
+    # a long sum parses to its value or is refused, never a RecursionError
+    text = " + ".join(["x"] * 5000)
+    try:
+        assert parse_rational(text) == rf(5000 * x)
+    except ExpressionSyntaxError as e:
+        assert 0 <= e.position <= len(text)
+    # powers are taken by squaring, not one product per unit of exponent
+    start = time.perf_counter()
+    assert parse_rational("x^1000000000*q^7") == rf(BiPoly.monomial(1, 10**9, 7))
+    assert time.perf_counter() - start < 1

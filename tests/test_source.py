@@ -82,6 +82,21 @@ def test_unvalidated_partitions_are_built_only_in_partitions():
         ("partitions.py", "Partition"), ("partitions.py", "MultiplicityVector")}
 
 
+def test_no_code_is_run_from_text():
+    """No module calls eval, exec or compile, or reaches them through
+    builtins: parse_rational reads the ast of its text and never runs it."""
+    runners = {"eval", "exec", "compile"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if ((isinstance(node, ast.Name) and node.id in runners)
+                    or (isinstance(node, ast.Attribute) and node.attr in runners
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "builtins")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 FUNCTOOLS_CACHES = {"cache", "cached_property", "lru_cache"}
 
 
