@@ -87,6 +87,60 @@ def test_parse_errors():
         parse_regex("a", ("a", "U"))  # reserved character as a symbol
 
 
+MULTI = ("aa", "b", "c1")
+
+
+@pytest.mark.parametrize("text, alphabet, error, message", [
+    # an empty expression at the start, after U and after (
+    ("", DIGITS, RegexSyntaxError, "empty expression at position 0"),
+    (" \t", DIGITS, RegexSyntaxError, "empty expression at position 0"),
+    ("U1", DIGITS, RegexSyntaxError, "empty expression at position 0"),
+    ("*1", DIGITS, RegexSyntaxError, "empty expression at position 0"),
+    ("1U", DIGITS, RegexSyntaxError, "empty expression at position 2"),
+    ("1\t\n2U", DIGITS, RegexSyntaxError, "empty expression at position 5"),
+    ("1UU2", DIGITS, RegexSyntaxError, "empty expression at position 2"),
+    ("12*U*", DIGITS, RegexSyntaxError, "empty expression at position 4"),
+    ("()", DIGITS, RegexSyntaxError, "empty expression at position 1"),
+    ("1(U2)", DIGITS, RegexSyntaxError, "empty expression at position 2"),
+    ("1U(", DIGITS, RegexSyntaxError, "empty expression at position 3"),
+    # a ) with nothing before it is an empty expression, not an unexpected one
+    (")", DIGITS, RegexSyntaxError, "empty expression at position 0"),
+    # a missing )
+    ("(12", DIGITS, RegexSyntaxError, "missing ')' at position 3"),
+    ("(1(2)", DIGITS, RegexSyntaxError, "missing ')' at position 5"),
+    # an unexpected )
+    ("12)", DIGITS, RegexSyntaxError, "unexpected token at position 2"),
+    ("1*)2", DIGITS, RegexSyntaxError, "unexpected token at position 2"),
+    # an unterminated quote
+    ("'1", DIGITS, RegexSyntaxError, "unterminated quoted symbol at position 0"),
+    ("1 '2", DIGITS, RegexSyntaxError, "unterminated quoted symbol at position 2"),
+    ("aa 'b", MULTI, RegexSyntaxError, "unterminated quoted symbol at position 3"),
+    # an unknown symbol: one character, a run of characters, quoted
+    ("17", DIGITS, RegexSyntaxError, "unknown symbol '7' at position 1"),
+    ("1a2", DIGITS, RegexSyntaxError, "unknown symbol 'a' at position 1"),
+    ("1\r2", DIGITS, RegexSyntaxError, "unknown symbol '\\r' at position 1"),
+    ("aa b d", MULTI, RegexSyntaxError, "unknown symbol 'd' at position 5"),
+    ("aa,bb", MULTI, RegexSyntaxError, "unknown symbol 'bb' at position 3"),
+    ("aa\rb", MULTI, RegexSyntaxError, "unknown symbol 'aa\\rb' at position 0"),
+    ("'7'", DIGITS, RegexSyntaxError, "unknown symbol '7' at position 0"),
+    ("'12'", DIGITS, RegexSyntaxError, "unknown symbol '12' at position 0"),
+    ("'aa' 'd'", MULTI, RegexSyntaxError, "unknown symbol 'd' at position 5"),
+    # an alphabet that cannot be written in the syntax
+    ("1", (), AlphabetError, "empty alphabet"),
+    ("a", ("a", "U"), AlphabetError, "symbol 'U' collides with regex syntax"),
+    ("a", ("a b",), AlphabetError, "symbol 'a b' collides with regex syntax"),
+    ("a", ("a*",), AlphabetError, "symbol 'a*' collides with regex syntax"),
+    ("x", ("x'",), AlphabetError, "symbol \"x'\" collides with regex syntax"),
+    ("1", ("",), AlphabetError, "symbol '' collides with regex syntax"),
+])
+def test_parse_error_messages_and_positions(text, alphabet, error, message):
+    with pytest.raises(error) as info:
+        parse_regex(text, alphabet)
+    assert type(info.value) is error and str(info.value) == message
+    if error is RegexSyntaxError:
+        assert info.value.position == int(message.rsplit(" ", 1)[1])
+
+
 def test_parse_multicharacter_symbols_need_delimiters():
     alpha = ("aa", "b")
     r = parse_regex("'aa' b U b", alpha)
