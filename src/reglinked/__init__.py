@@ -15,7 +15,7 @@ from .partitions import (
     weight_monomial,
 )
 from .qalgebra import (
-    BiPoly, QSeries, Q, RationalFunction, RfMatrix, X, parse_rational,
+    BiPoly, QSeries, Q, RationalFunction, X, parse_rational,
     pochhammer_inverse,
 )
 from .automata import (

@@ -13,6 +13,7 @@ order.  Words are tuples of symbols.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -109,24 +110,22 @@ class Star(Regex):
     _nullable = True
 
 
+def _balanced(node, items):
+    """node folded over items by halving, so the tree is log2 len(items) deep."""
+    if len(items) == 1:
+        return items[0]
+    mid = len(items) // 2
+    return node(_balanced(node, items[:mid]), _balanced(node, items[mid:]))
+
+
 def union_all(items):
     items = list(items)
-    if not items:
-        return Empty()
-    out = items[0]
-    for r in items[1:]:
-        out = Union(out, r)
-    return out
+    return _balanced(Union, items) if items else Empty()
 
 
 def concat_all(items):
     items = list(items)
-    if not items:
-        return Epsilon()
-    out = items[0]
-    for r in items[1:]:
-        out = Concat(out, r)
-    return out
+    return _balanced(Concat, items) if items else Epsilon()
 
 
 def nullable(r: Regex) -> bool:
@@ -147,7 +146,11 @@ def regex_symbols(r: Regex):
         yield from regex_symbols(r.inner)
 
 
-_RESERVED = set("U()*,' \t\n")
+_RESERVED = "U()*,' \t\n"
+# one match per token: blanks and commas (skipped), an operator, a quoted
+# symbol (group 3 is empty when the closing quote is missing), or a bare
+# symbol, whose pattern is filled in per alphabet
+_TOKEN = r"[ \t\n,]+|([U()*])|'([^']*)('?)|({})"
 
 
 def parse_regex(text: str, alphabet) -> Regex:
@@ -157,7 +160,9 @@ def parse_regex(text: str, alphabet) -> Regex:
     binds tighter than union), parentheses group.  When every alphabet
     symbol is a single character, symbols are juxtaposed directly (digit
     style, e.g. ``41*03``); multi-character symbols must be quoted
-    (``'sym'``) or separated by commas or spaces.
+    (``'sym'``) or separated by commas or spaces.  Unions and
+    concatenations are built as balanced trees; nesting deeper than the
+    parser's recursion allows is a RegexSyntaxError.
     """
     alphabet = tuple(str(s) for s in alphabet)
     if not alphabet:
@@ -165,70 +170,46 @@ def parse_regex(text: str, alphabet) -> Regex:
     for s in alphabet:
         if not s or any(c in _RESERVED for c in s):
             raise AlphabetError(f"symbol {s!r} collides with regex syntax")
-    single = all(len(s) == 1 for s in alphabet)
     known = set(alphabet)
-
+    bare = "." if all(len(s) == 1 for s in alphabet) else f"[^{re.escape(_RESERVED)}]+"
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\n,":
-            i += 1
-            continue
-        if c in "U()*":
-            tokens.append((c, i))
-            i += 1
-            continue
-        if c == "'":
-            j = text.find("'", i + 1)
-            if j < 0:
-                raise RegexSyntaxError("unterminated quoted symbol", i)
-            sym = text[i + 1:j]
+    for match in re.finditer(_TOKEN.format(bare), text):
+        op, quoted, close, sym = match.groups()
+        at = match.start()
+        if quoted is not None and not close:
+            raise RegexSyntaxError("unterminated quoted symbol", at)
+        sym = quoted if quoted is not None else sym
+        if op:
+            tokens.append((op, at))
+        elif sym is not None:
             if sym not in known:
-                raise RegexSyntaxError(f"unknown symbol {sym!r}", i)
-            tokens.append(("sym", i, sym))
-            i = j + 1
-            continue
-        if single:
-            if c not in known:
-                raise RegexSyntaxError(f"unknown symbol {c!r}", i)
-            tokens.append(("sym", i, c))
-            i += 1
-        else:
-            j = i
-            while j < n and text[j] not in _RESERVED:
-                j += 1
-            sym = text[i:j]
-            if sym not in known:
-                raise RegexSyntaxError(f"unknown symbol {sym!r}", i)
-            tokens.append(("sym", i, sym))
-            i = j
-
-    pos = [0]
+                raise RegexSyntaxError(f"unknown symbol {sym!r}", at)
+            tokens.append(("sym", at, sym))
+    # an end marker where peek() is None; a text of blanks is empty at 0
+    tokens.append((None, len(text) if tokens else 0))
+    pos = 0
 
     def peek():
-        return tokens[pos[0]][0] if pos[0] < len(tokens) else None
+        return tokens[pos][0]
 
     def take():
-        tok = tokens[pos[0]]
-        pos[0] += 1
-        return tok
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
 
     def parse_union():
-        out = parse_concat()
+        items = [parse_concat()]
         while peek() == "U":
             take()
-            out = Union(out, parse_concat())
-        return out
+            items.append(parse_concat())
+        return union_all(items)
 
     def parse_concat():
         factors = []
         while peek() in ("sym", "("):
             factors.append(parse_factor())
         if not factors:
-            at = tokens[pos[0]][1] if pos[0] < len(tokens) else n
-            raise RegexSyntaxError("empty expression", at)
+            raise RegexSyntaxError("empty expression", tokens[pos][1])
         return concat_all(factors)
 
     def parse_factor():
@@ -238,19 +219,19 @@ def parse_regex(text: str, alphabet) -> Regex:
         else:  # '('
             out = parse_union()
             if peek() != ")":
-                at = tokens[pos[0]][1] if pos[0] < len(tokens) else n
-                raise RegexSyntaxError("missing ')'", at)
+                raise RegexSyntaxError("missing ')'", tokens[pos][1])
             take()
-        while peek() == "*":
+        while peek() == "*":  # r** = r*, so a run of stars is one Star
             take()
-            out = Star(out)
+            out = out if isinstance(out, Star) else Star(out)
         return out
 
-    if not tokens:
-        raise RegexSyntaxError("empty expression", 0)
-    out = parse_union()
-    if pos[0] != len(tokens):
-        raise RegexSyntaxError("unexpected token", tokens[pos[0]][1])
+    try:
+        out = parse_union()
+    except RecursionError:
+        raise RegexSyntaxError("expression nested too deeply", 0) from None
+    if peek() is not None:
+        raise RegexSyntaxError("unexpected token", tokens[pos][1])
     return out
 
 

@@ -76,21 +76,21 @@ def cmd_derive(args, out):
     if args.format == "structured":
         out.write(f"target-state: {state}\n")
         out.write(f"labels: {' '.join(str(v) for v in system.labels)}\n")
-        for i, row in enumerate(system.matrix.entries):
+        for i, row in enumerate(system.matrix):
             out.write(f"system row {i}: " + " | ".join(str(e) for e in row) + "\n")
         out.write(f"l-prime: {l_prime}\n")
-        for i, row in enumerate(p.entries):
+        for i, row in enumerate(p):
             out.write(f"reduced row {i}: " + " | ".join(str(e) for e in row) + "\n")
         out.write(murraymiller.equation_to_text(eq))
         return 0
     print(f"target state: q{state}", file=out)
     print(f"\ncoupled system (step {system.step}), rows/cols "
           + " ".join(f"q{v}" for v in system.labels), file=out)
-    for row in system.matrix.entries:
+    for row in system.matrix:
         print("  [" + ", ".join(str(e) for e in row) + "]", file=out)
     steps = "step" if l_prime == 1 else "steps"
     print(f"\ntriangularized after {l_prime} {steps}:", file=out)
-    for row in p.entries:
+    for row in p:
         print("  [" + ", ".join(str(e) for e in row) + "]", file=out)
     print("\nsingle equation, 0 = sum_i p_i(x,q) F(x*q^(step*i)):", file=out)
     for i, c in enumerate(eq.coeffs):

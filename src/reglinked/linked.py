@@ -27,7 +27,7 @@ from .automata import (
 from .partitions import (
     MultiplicityVector, Partition, from_multiplicities, weight_monomial,
 )
-from .qalgebra import BiPoly, QSeries, RationalFunction, RfMatrix
+from .qalgebra import BiPoly, QSeries, RationalFunction
 
 
 class SpecError(ValueError):
@@ -283,21 +283,23 @@ def build_forbidden_dfa(spec: LinkedSpec) -> Dfa:
 @dataclass(frozen=True)
 class QDifferenceSystem:
     """Coupled system F_v(x) = sum_u A[v][u] F_u(x q^m) over the non-accepting
-    states; entries are polynomial weights sum_a x^len(pi_a) q^|pi_a|, and
-    0 in the column of every state whose class is empty.
+    states; matrix[v][u] is A[v][u], held as a tuple of row tuples of
+    polynomial weights sum_a x^len(pi_a) q^|pi_a|, and 0 in the column of
+    every state whose class is empty.
     seed[i] is 1 when the empty partition belongs to the class of state
     labels[i], else 0: the constant term of that state's series."""
 
     step: int
     labels: tuple[int, ...]
-    matrix: RfMatrix
+    matrix: tuple[tuple[RationalFunction, ...], ...]
     start: int
     seed: tuple[int, ...]
 
     def __post_init__(self):
         n = len(self.labels)
-        if {len(set(self.labels)), self.matrix.nrows, self.matrix.ncols} != {n}:
-            raise ValueError(f"labels must be distinct and the matrix {n} x {n}")
+        if not n or {len(set(self.labels)), len(self.matrix),
+                     *map(len, self.matrix)} != {n}:
+            raise ValueError(f"labels must be distinct and the matrix {n} x {n}, n >= 1")
         if len(self.seed) != n or set(self.seed) - {0, 1}:
             raise ValueError("seed must hold a 0 or 1 per label")
 
@@ -328,9 +330,9 @@ def derive_system(spec: LinkedSpec) -> QDifferenceSystem:
         size = len(live)
         live |= {i for i, row in enumerate(rows)
                  if any(not row[u].is_zero() for u in live)}
-    rows = [[RationalFunction(e if u in live else BiPoly()) for u, e in enumerate(row)]
-            for row in rows]
-    return QDifferenceSystem(spec.m, labels, RfMatrix(rows), dfa.start, seed)
+    rows = tuple(tuple(RationalFunction(e if u in live else BiPoly())
+                       for u, e in enumerate(row)) for row in rows)
+    return QDifferenceSystem(spec.m, labels, rows, dfa.start, seed)
 
 
 def state_for_class(spec: LinkedSpec, extra_prefixes: Regex):
@@ -373,7 +375,7 @@ def _system_monomials(sys: QDifferenceSystem):
     """Matrix entries as term lists [(coef, deg_x, deg_q)]; entries must be
     polynomial by the system invariant."""
     mono = []
-    for row in sys.matrix.entries:
+    for row in sys.matrix:
         mrow = []
         for e in row:
             if not e.is_polynomial():
@@ -545,5 +547,5 @@ def lpi_to_spec(lpi: LpiData) -> LinkedSpec:
             pieces.append(concat_all(
                 [Symbol(sym)] + [Symbol(triv)] * (span - 1)
                 + [union_all([Symbol(s) for s in blocked])]))
-    x = union_all(pieces) if pieces else Empty()
+    x = union_all(pieces)
     return LinkedSpec(lpi.m, alphabet, pi, x, Empty())

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .linked import QDifferenceSystem, SpecError, derive_system, state_for_class
 from .qalgebra import (
-    BiPoly, RationalFunction, RfMatrix, bipoly_div_exact, bipoly_gcd,
+    BiPoly, RationalFunction, bipoly_div_exact, bipoly_gcd,
     bipoly_lcm, parse_rational,
 )
 
@@ -55,8 +55,8 @@ def reorder(sys: QDifferenceSystem, order) -> QDifferenceSystem:
     if sorted(order) != sorted(sys.labels):
         raise ValueError("order must be a permutation of the system labels")
     pos = {lab: sys.labels.index(lab) for lab in order}
-    rows = [[sys.matrix[pos[r], pos[c]] for c in order] for r in order]
-    return QDifferenceSystem(sys.step, order, RfMatrix(rows), sys.start,
+    rows = tuple(tuple(sys.matrix[pos[r]][pos[c]] for c in order) for r in order)
+    return QDifferenceSystem(sys.step, order, rows, sys.start,
                              tuple(sys.seed[pos[lab]] for lab in order))
 
 
@@ -71,21 +71,21 @@ def reorder_first(sys: QDifferenceSystem, target) -> QDifferenceSystem:
 def _assert_triangular_shape(p, s):
     # rows 0..s-2 must have a superdiagonal 1 and zeros beyond it
     one = RationalFunction.one()
-    n = p.nrows
+    n = len(p)
     for i in range(s - 1):
-        if p[i, i + 1] != one:
+        if p[i][i + 1] != one:
             raise TriangularizationError(
                 f"shape invariant violated: entry ({i},{i + 1}) is not 1")
         for j in range(i + 2, n):
-            if not p[i, j].is_zero():
+            if not p[i][j].is_zero():
                 raise TriangularizationError(
                     f"shape invariant violated: entry ({i},{j}) is not 0")
 
 
 def triangularize(sys: QDifferenceSystem):
     """Run the triangularization loop; returns (l', P) where P is the full
-    matrix at the moment of return and its top-left l' x l' block is the
-    reduced system.
+    matrix at the moment of return, a tuple of row tuples, and its top-left
+    l' x l' block is the reduced system.
 
     Step s conjugates P by the transform T that is the identity except in
     row s, which holds t_j = P[s-1][j] for j >= s:
@@ -103,12 +103,12 @@ def triangularize(sys: QDifferenceSystem):
     for s in range(1, n + 1):
         _assert_triangular_shape(p, s)
         row = s - 1
-        if all(p[row, j].is_zero() for j in range(s, n)):
+        if all(p[row][j].is_zero() for j in range(s, n)):
             return s, p
-        entries = [list(r) for r in p.entries]
-        if p[row, s].is_zero():
+        entries = [list(r) for r in p]
+        if p[row][s].is_zero():
             # a pivot exists: the test above found a nonzero entry past column s
-            t = next(j for j in range(s + 1, n) if not p[row, j].is_zero())
+            t = next(j for j in range(s + 1, n) if not p[row][j].is_zero())
             entries[s], entries[t] = entries[t], entries[s]
             for r in entries:
                 r[s], r[t] = r[t], r[s]
@@ -127,12 +127,12 @@ def triangularize(sys: QDifferenceSystem):
             r[s] = c
             for j, tj in tail:
                 r[j] = r[j] - c * tj
-        p = RfMatrix(entries)
+        p = tuple(map(tuple, entries))
 
 
-def eliminate(l_prime: int, p: RfMatrix, step: int) -> QDifferenceEquation:
-    """Back-substitute the triangularized system into a single equation for
-    the first component.
+def eliminate(l_prime: int, p, step: int) -> QDifferenceEquation:
+    """Back-substitute the triangularized system, the matrix p that
+    `triangularize` returns, into a single equation for the first component.
 
     Row i (for i < l') rewrites component i+1 at any shift in terms of
     component i one step lower and components j <= i at the same shift;
@@ -140,13 +140,13 @@ def eliminate(l_prime: int, p: RfMatrix, step: int) -> QDifferenceEquation:
     component only.  The shift range is then re-based at zero (an x
     substitution), which makes the result representable with indices 0..L.
     """
-    if not 1 <= l_prime <= p.nrows:
-        raise ValueError(f"l_prime {l_prime} is not in 1..{p.nrows}")
+    if not 1 <= l_prime <= len(p):
+        raise ValueError(f"l_prime {l_prime} is not in 1..{len(p)}")
     s = l_prime
     zero = RationalFunction.zero()
     terms = {(s - 1, 0): RationalFunction(-1)}
     for j in range(s):
-        c = p[s - 1, j]
+        c = p[s - 1][j]
         if not c.is_zero():
             terms[(j, 1)] = terms.get((j, 1), zero) + c
     for comp in range(s - 1, 0, -1):
@@ -165,7 +165,7 @@ def eliminate(l_prime: int, p: RfMatrix, step: int) -> QDifferenceEquation:
                 continue
             add((comp - 1, k - 1), c)
             for j2 in range(comp):
-                coeff = p[row, j2]
+                coeff = p[row][j2]
                 if coeff.is_zero():
                     continue
                 add((j2, k), -(c * coeff.shift_x(step * (k - 1))))

@@ -21,6 +21,7 @@ import ast
 import operator
 from collections import namedtuple
 from fractions import Fraction
+from itertools import groupby
 from math import gcd as _int_gcd
 
 
@@ -309,33 +310,26 @@ class BiPoly:
         if not self.terms:
             return "0"
         chunks = []
-        for i in range(self.degree_x() + 1):
-            pairs = sorted((j, c) for (a, j), c in self.terms.items() if a == i)
-            if not pairs:
-                continue
+        # one sorted pass over the terms, one chunk per x-degree present
+        for i, group in groupby(sorted(self.terms.items()), lambda t: t[0][0]):
+            pairs = [(j, c) for (_, j), c in group]
             if i == 0:
                 body = _render_q_poly(pairs)
-                neg = body.startswith("-")
             elif len(pairs) == 1:
                 j, c = pairs[0]
-                neg = c < 0
-                mag = abs(c)
-                parts = [] if mag == 1 else [str(mag)]
+                parts = [] if abs(c) == 1 else [str(abs(c))]
                 parts.append(self._x_piece(i))
                 if j:
                     parts.append(self._q_piece(j))
-                body = ("-" if neg else "") + "*".join(parts)
+                body = ("-" if c < 0 else "") + "*".join(parts)
             else:
                 neg = all(c < 0 for _, c in pairs)
                 if neg:
                     pairs = [(j, -c) for j, c in pairs]
                 body = ("-" if neg else "") + f"{self._x_piece(i)}*({_render_q_poly(pairs)})"
-            if not chunks:
-                chunks.append(body)
-            elif body.startswith("-"):
-                chunks.append(f"- {body[1:]}")
-            else:
-                chunks.append(f"+ {body}")
+            if chunks:
+                body = f"- {body[1:]}" if body.startswith("-") else f"+ {body}"
+            chunks.append(body)
         return " ".join(chunks)
 
     def __repr__(self):
@@ -565,47 +559,6 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self})"
-
-
-# ---------------------------------------------------------------------------
-# matrices of rational functions
-# ---------------------------------------------------------------------------
-
-class RfMatrix:
-    """Rectangular matrix with RationalFunction entries."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, rows):
-        rows = tuple(tuple(RationalFunction._coerce(e) for e in r) for r in rows)
-        if not rows or not rows[0]:
-            raise ValueError("matrix dimensions must be positive")
-        w = len(rows[0])
-        if any(len(r) != w for r in rows):
-            raise ValueError("ragged matrix")
-        self.entries = rows
-
-    @property
-    def nrows(self):
-        return len(self.entries)
-
-    @property
-    def ncols(self):
-        return len(self.entries[0])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, RfMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __str__(self):
-        return "\n".join("[" + ", ".join(str(e) for e in row) + "]"
-                         for row in self.entries)
 
 
 # ---------------------------------------------------------------------------

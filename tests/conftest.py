@@ -12,7 +12,7 @@ from reglinked.automata import (AlphabetError, Concat, Dfa, Empty, Epsilon,
 from reglinked.partitions import (EMPTY, MultiplicityVector, Partition,
                                   _window_ok, partitions_of)
 from reglinked.qalgebra import (BiPoly, Q as q, QSeries, RationalFunction,
-                                RfMatrix, X as x, _bipoly_from_profile,
+                                X as x, _bipoly_from_profile,
                                 _poch_exponents, _u_mul, _u_neg, _u_sub,
                                 _u_trim, rf_x_coefficient_series)
 from reglinked.qseries import CLASS_ST, XSeries
@@ -76,12 +76,14 @@ CLASS_STATE = {1: 7, 2: 3, 3: 4}
 CLASS_PREFIXES = {1: "3U4", 2: "2U4U04", 3: "2U3U4U04U1*03"}
 
 
-def _rf_rows(rows):
-    return RfMatrix([[RationalFunction._coerce(e) for e in row] for row in rows])
+def rf_matrix(rows):
+    """Rows of ints, BiPolys or RationalFunctions as the tuple of row tuples
+    of RationalFunction that QDifferenceSystem.matrix holds."""
+    return tuple(tuple(RationalFunction._coerce(e) for e in row) for row in rows)
 
 
 GOLDEN_P5 = {
-    1: _rf_rows([
+    1: rf_matrix([
         [0, 1, 0, 0, 0, 0, 0],
         [x**2, x + ONE, 1, 0, 0, 0, 0],
         [(x**2 - x**3) / q**2, x / q, RationalFunction(1, q), 1, 0, 0, 0],
@@ -91,7 +93,7 @@ GOLDEN_P5 = {
         [0, 1, 0, q / (x - ONE), q**3 / (x - x**2), 0, 0],
         [0, 1, 0, q / (x - ONE), q**3 / (ONE - x), 0, 0],
     ]),
-    2: _rf_rows([
+    2: rf_matrix([
         [x * q, 1, 0, 0, 0, 0, 0],
         [x * q, x + ONE, 1, 0, 0, 0, 0],
         [0, 0, 0, 1, 0, 0, 0],
@@ -100,7 +102,7 @@ GOLDEN_P5 = {
         [x * q, 1, 1, 0, 0, 0, 0],
         [x * q, 1, 1, 1, q**2 / (x - ONE), 0, 0],
     ]),
-    3: _rf_rows([
+    3: rf_matrix([
         [x * q**2, 1, 0, 0, 0, 0, 0],
         [0, 0, 1, 0, 0, 0, 0],
         [x**2 * q**2, x**2, 1, 1, 0, 0, 0],
@@ -687,12 +689,12 @@ def untrimmed_system(spec):
         rows.append([RationalFunction(e) for e in row])
     seed = tuple(int(spec.trivial_symbol is not None and member(EMPTY, spec, v))
                  for v in labels)
-    return QDifferenceSystem(spec.m, labels, RfMatrix(rows), dfa.start, seed)
+    return QDifferenceSystem(spec.m, labels, rf_matrix(rows), dfa.start, seed)
 
 
 def _system_terms(system):
     return [[[(c, i, j) for (i, j), c in e.num.terms.items()] for e in row]
-            for row in system.matrix.entries]
+            for row in system.matrix]
 
 
 def trivial_walk_survival(system):
@@ -754,32 +756,32 @@ def fixed_point_series(system, state, order, x_value=1):
 
 
 def mat_identity(n):
-    return RfMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    return rf_matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def mat_shift_x(a, k):
     """Substitute x -> x*q^k in every entry."""
-    return RfMatrix([[e.shift_x(k) for e in row] for row in a.entries])
+    return rf_matrix([[e.shift_x(k) for e in row] for row in a])
 
 
 def mat_mul(a, b):
-    if a.ncols != b.nrows:
+    if len(a[0]) != len(b):
         raise ValueError("matrix dimension mismatch")
     zero = RationalFunction.zero()
     out = []
-    for i in range(a.nrows):
+    for i in range(len(a)):
         row = []
-        for j in range(b.ncols):
+        for j in range(len(b[0])):
             acc = zero
-            for k in range(a.ncols):
-                e = a.entries[i][k]
-                f = b.entries[k][j]
+            for k in range(len(b)):
+                e = a[i][k]
+                f = b[k][j]
                 if e.is_zero() or f.is_zero():
                     continue
                 acc = acc + e * f
             row.append(acc)
         out.append(row)
-    return RfMatrix(out)
+    return rf_matrix(out)
 
 
 def mat_inverse_T(t):
@@ -789,15 +791,15 @@ def mat_inverse_T(t):
     other row and replaces row r by (0,..,0, 1/p_rr, -p_rj/p_rr, ...).
     Raises ZeroDivisionError if the pivot p_rr is zero.
     """
-    n = t.nrows
-    if n != t.ncols:
+    n = len(t)
+    if n != len(t[0]):
         raise ValueError("not square")
     one = RationalFunction.one()
     zero = RationalFunction.zero()
     special = None
     for i in range(n):
         row_is_identity = all(
-            (t[i, j] == one if j == i else t[i, j].is_zero()) for j in range(n)
+            (t[i][j] == one if j == i else t[i][j].is_zero()) for j in range(n)
         )
         if not row_is_identity:
             if special is not None:
@@ -807,16 +809,16 @@ def mat_inverse_T(t):
         return mat_identity(n)
     r = special
     for j in range(r):
-        if not t[r, j].is_zero():
+        if not t[r][j].is_zero():
             raise ValueError("special row has entries left of the diagonal")
-    pivot = t[r, r]
+    pivot = t[r][r]
     if pivot.is_zero():
         raise ZeroDivisionError("singular transform: pivot entry is zero")
     out = [[one if i == j else zero for j in range(n)] for i in range(n)]
     out[r][r] = one / pivot
     for j in range(r + 1, n):
-        out[r][j] = -t[r, j] / pivot
-    return RfMatrix(out)
+        out[r][j] = -t[r][j] / pivot
+    return rf_matrix(out)
 
 
 def triangularize_by_products(system):
@@ -828,19 +830,19 @@ def triangularize_by_products(system):
     p = system.matrix
     for s in range(1, n + 1):
         row = s - 1
-        if all(p[row, j].is_zero() for j in range(s, n)):
+        if all(p[row][j].is_zero() for j in range(s, n)):
             return s, p
-        if p[row, s].is_zero():
-            t = next(j for j in range(s + 1, n) if not p[row, j].is_zero())
-            entries = [list(r) for r in p.entries]
+        if p[row][s].is_zero():
+            t = next(j for j in range(s + 1, n) if not p[row][j].is_zero())
+            entries = [list(r) for r in p]
             entries[s], entries[t] = entries[t], entries[s]
             for r in entries:
                 r[s], r[t] = r[t], r[s]
-            p = RfMatrix(entries)
+            p = rf_matrix(entries)
         t_rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         for j in range(s, n):
-            t_rows[s][j] = p[row, j]
-        t_mat = RfMatrix(t_rows)
+            t_rows[s][j] = p[row][j]
+        t_mat = rf_matrix(t_rows)
         p = mat_mul(mat_mul(mat_shift_x(t_mat, -system.step), p),
                     mat_inverse_T(t_mat))
     raise AssertionError("loop left without returning")

@@ -13,12 +13,12 @@ import pytest
 from conftest import (CLASS_PREFIXES, CLASS_STATE, GOLDEN_DFA_ACCEPT,
                       GOLDEN_DFA_TABLE, GOLDEN_EQUATION, GOLDEN_P5,
                       GOLDEN_SYSTEM_ROWS, NO_SWAP_ORDER, all_words,
-                      random_spec, regex_match_words)
+                      random_spec, regex_match_words, rf_matrix)
 from reglinked import linked, murraymiller as mm, partitions, qseries
 from conftest import equivalent, isomorphism, restart
 from reglinked.automata import Dfa, dfa_from_regex, minimize, parse_regex
 from reglinked.murraymiller import QDifferenceEquation
-from reglinked.qalgebra import QSeries, RationalFunction, RfMatrix
+from reglinked.qalgebra import QSeries, RationalFunction
 from reglinked.qseries import XSeries
 
 
@@ -80,9 +80,7 @@ def test_criterion_3_system_reproduction():
     with _Budget(3, 1.0, "derived 7x7 system equals the reference matrix"):
         system = linked.derive_system(linked.nandi_spec())
         assert system.labels == (0, 1, 2, 3, 4, 5, 7)
-        want = RfMatrix([[RationalFunction._coerce(e) for e in row]
-                         for row in GOLDEN_SYSTEM_ROWS])
-        assert system.matrix == want
+        assert system.matrix == rf_matrix(GOLDEN_SYSTEM_ROWS)
 
 
 def test_criterion_4_elimination_goldens(nandi_system):

@@ -65,8 +65,9 @@ def test_parse_examples():
     assert r == Union(Concat(Symbol("1"), Symbol("2")),
                       Concat(Symbol("1"), Symbol("3")))
     r2 = parse_regex("41*03", DIGITS)
-    assert r2 == Concat(Concat(Concat(Symbol("4"), Star(Symbol("1"))),
-                               Symbol("0")), Symbol("3"))
+    # concatenations are balanced: the same language as the left-nested tree
+    assert r2 == Concat(Concat(Symbol("4"), Star(Symbol("1"))),
+                        Concat(Symbol("0"), Symbol("3")))
 
 
 def test_parse_precedence_star_tighter_than_concat_than_union():

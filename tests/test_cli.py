@@ -87,7 +87,7 @@ def test_derive_matches_pipeline(capsys):
     assert len(rows) == 7
     for i, line in enumerate(rows):
         got = [parse_rational(entry) for entry in line.split(" | ")]
-        assert got == list(system.matrix.entries[i])
+        assert got == list(system.matrix[i])
 
 
 def test_derive_class3(capsys):
@@ -301,6 +301,31 @@ def test_unquoted_regex_field_is_an_input_error(tmp_path, capsys, line, message)
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("pattern, states", [
+    ("1" + "0" * 600 + "1", 603),
+    # the binary numerals of 4..1503: a 1 followed by two more symbols
+    ("U".join(format(k, "b") for k in range(4, 1504)), 4),
+    ("10" + "*" * 1500 + "1", 3),
+], ids=["602-symbol-word", "1500-word-union", "1500-star-run"])
+def test_long_patterns_build_their_machine(tmp_path, capsys, pattern, states):
+    # each used to end in a RecursionError traceback and exit 1
+    path = tmp_path / "long.spec"
+    path.write_text(DIFF2_SPEC.replace("11U101", pattern), encoding="utf-8")
+    code, out, err = run(capsys, "dfa", "--spec", str(path), "table")
+    assert (code, err) == (0, "")
+    assert f"states: {states} " in out
+
+
+def test_deeply_nested_pattern_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "nested.spec"
+    path.write_text(DIFF2_SPEC.replace("11U101", "(" * 1200 + "1" + ")" * 1200),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "dfa", "--spec", str(path), "table")
+    assert (code, out) == (2, "")
+    assert err == ("error: forbidden_patterns: expression nested too deeply"
+                   " at position 0\n")
 
 
 def test_repeated_alphabet_symbol_is_an_input_error(tmp_path, capsys):

@@ -13,8 +13,8 @@ from conftest import (CLASS_PREFIXES, CLASS_STATE, GOLDEN_DFA_ACCEPT,
                       brute_partition_counts, check_dfa_from_regex_calls,
                       decode, encode_by_multiplicities, fixed_point_series,
                       isomorphism, member_by_full_tail, random_spec,
-                      state_for_class_by_equivalence, trivial_walk_survival,
-                      untrimmed_system)
+                      rf_matrix, state_for_class_by_equivalence,
+                      trivial_walk_survival, untrimmed_system)
 from reglinked import linked
 from reglinked.automata import (Dfa, Empty, Regex, Symbol, dfa_from_regex,
                                 parse_regex)
@@ -26,7 +26,7 @@ from reglinked.linked import (
 )
 from reglinked.partitions import (EMPTY, Partition, in_class, partitions_of,
                                   satisfies_nandi)
-from reglinked.qalgebra import Q, QSeries, RationalFunction, RfMatrix, X
+from reglinked.qalgebra import Q, QSeries, RationalFunction, X
 
 
 @pytest.fixture(autouse=True)
@@ -238,9 +238,7 @@ def test_derive_system_matches_golden():
     assert system.step == 2
     assert system.labels == (0, 1, 2, 3, 4, 5, 7)
     assert system.start == 0
-    want = RfMatrix([[RationalFunction._coerce(e) for e in row]
-                     for row in GOLDEN_SYSTEM_ROWS])
-    assert system.matrix == want
+    assert system.matrix == rf_matrix(GOLDEN_SYSTEM_ROWS)
 
 
 def test_system_row_sums_count_surviving_transitions():
@@ -250,7 +248,7 @@ def test_system_row_sums_count_surviving_transitions():
     for i, v in enumerate(system.labels):
         expect = sum(1 for s in spec.alphabet if dfa.step(v, s) not in dfa.accept)
         total = 0
-        for e in system.matrix.entries[i]:
+        for e in system.matrix[i]:
             total += sum(e.num.terms.values())
         assert total == expect
 
@@ -259,7 +257,7 @@ def test_system_entries_polynomial_with_bounded_x_degree():
     spec = nandi_spec()
     max_len = max(len(p) for _, p in spec.pi)
     system = derive_system(spec)
-    for row in system.matrix.entries:
+    for row in system.matrix:
         for e in row:
             assert e.is_polynomial()
             assert e.num.degree_x() <= max_len
@@ -436,7 +434,7 @@ def test_trimming_empty_classes_changes_no_series():
             series = series_from_system(system, st, 20, x_value="symbolic")
             assert series == series_from_system(full, st, 20, x_value="symbolic")
             empty = all(c == QSeries.zero(20) for c in series)
-            column, full_column = ([row[u] for row in s.matrix.entries]
+            column, full_column = ([row[u] for row in s.matrix]
                                    for s in (system, full))
             assert column == (full_column if not empty
                               else [RationalFunction.zero()] * len(column)), (spec, st)
@@ -449,9 +447,9 @@ def test_empty_class_spec_has_an_all_zero_system():
     spec = load_spec(Path(__file__).parent / "cli_golden" / "specs" / "draw8.spec")
     system = derive_system(spec)
     assert system.seed == (0,) * len(system.labels)
-    assert all(e.is_zero() for row in system.matrix.entries for e in row)
+    assert all(e.is_zero() for row in system.matrix for e in row)
     assert not all(e.is_zero()
-                   for row in untrimmed_system(spec).matrix.entries for e in row)
+                   for row in untrimmed_system(spec).matrix for e in row)
 
 
 def test_series_from_system_rejects_zero_weight_self_feed():
@@ -459,18 +457,18 @@ def test_series_from_system_rejects_zero_weight_self_feed():
     # term is 1; q * 1 then lands on q^1, which the term 1 feeds back into
     # q^1 itself: a self-feed at zero weight
     system = QDifferenceSystem(
-        1, (0,), RfMatrix([[RationalFunction._coerce(1 + Q)]]), 0, (1,))
+        1, (0,), rf_matrix([[1 + Q]]), 0, (1,))
     for x_value in (1, "symbolic"):
         with pytest.raises(ValueError, match="feeds its own degree"):
             series_from_system(system, 0, 4, x_value=x_value)
     # the same loop on the constant term alone is the seeded exception
     loop = QDifferenceSystem(
-        1, (0,), RfMatrix([[RationalFunction._coerce(1)]]), 0, (1,))
+        1, (0,), rf_matrix([[1]]), 0, (1,))
     assert series_from_system(loop, 0, 4) == QSeries.one(4)
 
 
 def test_system_seed_holds_a_0_or_1_per_label():
-    matrix = RfMatrix([[RationalFunction._coerce(1 + X * Q)]])
+    matrix = rf_matrix([[1 + X * Q]])
     for seed in ((), (1, 1), (2,)):
         with pytest.raises(ValueError, match="seed must hold"):
             QDifferenceSystem(1, (0,), matrix, 0, seed)
@@ -478,12 +476,15 @@ def test_system_seed_holds_a_0_or_1_per_label():
 
 def test_system_matrix_has_one_row_and_column_per_distinct_label():
     # unchecked, a 1 x 1 matrix over two labels gives the second label the
-    # series 0, and a 2 x 2 matrix over one label fails deep in the walk
-    square = RfMatrix([[1, X], [Q, 1]])
-    for labels, matrix, seed in (((0, 1), RfMatrix([[X * Q]]), (1, 0)),
+    # series 0, a 2 x 2 matrix over one label fails deep in the walk, a
+    # ragged row is read past its end, and an empty system has no state
+    square = rf_matrix([[1, X], [Q, 1]])
+    for labels, matrix, seed in (((0, 1), rf_matrix([[X * Q]]), (1, 0)),
                                  ((0,), square, (1,)),
-                                 ((0,), RfMatrix([[1, X]]), (1,)),
-                                 ((0, 0), square, (1, 1))):
+                                 ((0,), rf_matrix([[1, X]]), (1,)),
+                                 ((0, 0), square, (1, 1)),
+                                 ((0, 1), rf_matrix([[1, X], [Q]]), (1, 0)),
+                                 ((), (), ())):
         with pytest.raises(ValueError, match="labels must be distinct and the matrix"):
             QDifferenceSystem(1, labels, matrix, 0, seed)
 
@@ -522,7 +523,7 @@ pi:
 """)
     system = derive_system(spec)
     assert len(system.labels) == 1
-    assert system.matrix.entries[0][0] == RationalFunction._coerce(1 + X * Q)
+    assert system.matrix[0][0] == RationalFunction._coerce(1 + X * Q)
     got = series_from_system(system, system.start, 20)
     want = brute_partition_counts(
         20, lambda parts: len(set(parts)) == len(parts))

@@ -6,8 +6,8 @@ import pytest
 
 from conftest import (CLASS_STATE, GOLDEN_EQUATION, GOLDEN_P5, NO_SWAP_ORDER,
                       bipoly_gcd_by_profiles, mat_inverse_T, mat_mul,
-                      mat_shift_x, random_spec, triangularize_by_products,
-                      untrimmed_system)
+                      mat_shift_x, random_spec, rf_matrix,
+                      triangularize_by_products, untrimmed_system)
 from reglinked import murraymiller, qalgebra
 from reglinked.linked import (QDifferenceSystem, derive_system, load_spec,
                               parse_spec_text, series_from_system)
@@ -16,7 +16,7 @@ from reglinked.murraymiller import (
     equation_to_text, normalize_equation, reorder, reorder_first,
     triangularize,
 )
-from reglinked.qalgebra import Q as q, RationalFunction, RfMatrix, X as x
+from reglinked.qalgebra import Q as q, RationalFunction, X as x
 from reglinked.qseries import equation_residual
 
 
@@ -48,9 +48,9 @@ def test_reorder_first(nandi_system):
     moved = reorder_first(nandi_system, 7)
     assert moved.labels == (7, 0, 1, 2, 3, 4, 5)
     # row for the old state 7: transitions to 0, 1, 2 with its weights
-    assert moved.matrix[0, 1] == RationalFunction._coerce(1)
-    assert moved.matrix[0, 2] == RationalFunction._coerce(x * q**2)
-    assert moved.matrix[0, 3] == RationalFunction._coerce(x**2 * q**4)
+    assert moved.matrix[0][1] == RationalFunction._coerce(1)
+    assert moved.matrix[0][2] == RationalFunction._coerce(x * q**2)
+    assert moved.matrix[0][3] == RationalFunction._coerce(x**2 * q**4)
     assert reorder_first(nandi_system, 0).labels == nandi_system.labels
     assert reorder_first(nandi_system, 0) == nandi_system
     with pytest.raises(ValueError):
@@ -63,7 +63,7 @@ def test_reorder_is_conjugation(nandi_system):
     old = {lab: i for i, lab in enumerate(nandi_system.labels)}
     for i, ri in enumerate(NO_SWAP_ORDER[2]):
         for j, cj in enumerate(NO_SWAP_ORDER[2]):
-            assert moved.matrix[i, j] == nandi_system.matrix[old[ri], old[cj]]
+            assert moved.matrix[i][j] == nandi_system.matrix[old[ri]][old[cj]]
 
 
 HEAD_MATRIX = {
@@ -95,9 +95,7 @@ HEAD_MATRIX = {
 def test_reordered_head_matrices(a, nandi_system):
     # the fully reordered systems the three eliminations start from
     got = reorder(nandi_system, NO_SWAP_ORDER[a]).matrix
-    want = RfMatrix([[RationalFunction._coerce(e) for e in row]
-                     for row in HEAD_MATRIX[a]])
-    assert got == want
+    assert got == rf_matrix(HEAD_MATRIX[a])
 
 
 def test_manual_first_conjugation_step(nandi_system):
@@ -105,12 +103,11 @@ def test_manual_first_conjugation_step(nandi_system):
     # primitives, then let the loop finish from there
     system = reorder(nandi_system, NO_SWAP_ORDER[1])
     p1 = system.matrix
-    n = p1.nrows
-    rows = [[RationalFunction._coerce(1 if i == j else 0) for j in range(n)]
-            for i in range(n)]
+    n = len(p1)
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for j in range(1, n):
-        rows[1][j] = p1[0, j]
-    t1 = RfMatrix(rows)
+        rows[1][j] = p1[0][j]
+    t1 = rf_matrix(rows)
     p2 = mat_mul(mat_mul(mat_shift_x(t1, -2), p1), mat_inverse_T(t1))
     resumed = QDifferenceSystem(2, system.labels, p2, system.start, system.seed)
     l_prime, p_final = triangularize(resumed)
@@ -165,7 +162,7 @@ def test_triangularize_one_by_one():
 
 def _one_by_one(entry):
     return QDifferenceSystem(
-        1, (0,), RfMatrix([[RationalFunction._coerce(entry)]]), 0, (1,))
+        1, (0,), rf_matrix([[entry]]), 0, (1,))
 
 
 def test_triangularize_deterministic(nandi_system):
@@ -211,8 +208,8 @@ def test_eliminate_one_by_one():
 def test_eliminate_rejects_l_prime_outside_the_system(nandi_system):
     system = reorder_first(nandi_system, CLASS_STATE[1])
     l_prime, p = triangularize(system)
-    assert p.nrows == 7
-    for bad in (0, -1, p.nrows + 1):
+    assert len(p) == 7
+    for bad in (0, -1, len(p) + 1):
         with pytest.raises(ValueError, match=f"l_prime {bad} is not in 1..7"):
             eliminate(bad, p, system.step)
     assert normalize_equation(eliminate(l_prime, p, system.step)) == \

@@ -6,10 +6,10 @@ import pytest
 
 from conftest import (bipoly_div_exact_by_profiles, bipoly_gcd_by_profiles,
                       mat_identity, mat_inverse_T, mat_mul, product_series,
-                      rf_q_expand, series_inverse_by_recurrence,
+                      rf_matrix, rf_q_expand, series_inverse_by_recurrence,
                       u_div_exact_by_long_division, u_gcd_by_prs)
 from reglinked.qalgebra import (
-    BiPoly, Q as q, QSeries, RationalFunction, RfMatrix, X as x,
+    BiPoly, Q as q, QSeries, RationalFunction, X as x,
     ExpressionSyntaxError, _u_div_exact, _u_gcd, _u_mul, _u_trim,
     bipoly_div_exact, bipoly_gcd, parse_rational, pochhammer_inverse,
 )
@@ -239,15 +239,15 @@ def test_division_by_zero_raises():
 # ---------------------------------------------------------------------------
 
 def test_matrix_identities():
-    p = RfMatrix([[x, 1 + q], [q**2, x * q]])
+    p = rf_matrix([[x, 1 + q], [q**2, x * q]])
     eye = mat_identity(2)
     assert mat_mul(eye, p) == p
-    t = RfMatrix([[1, 0, 0], [0, x, q + 1], [0, 0, 1]])
+    t = rf_matrix([[1, 0, 0], [0, x, q + 1], [0, 0, 1]])
     assert mat_mul(t, mat_inverse_T(t)) == mat_identity(3)
 
 
 def test_inverse_T_singular_pivot():
-    t = RfMatrix([[1, 0], [0, 0]])
+    t = rf_matrix([[1, 0], [0, 0]])
     with pytest.raises(ZeroDivisionError):
         mat_inverse_T(t)
 
@@ -509,4 +509,12 @@ def test_parse_rational_errors():
     # powers are taken by squaring, not one product per unit of exponent
     start = time.perf_counter()
     assert parse_rational("x^1000000000*q^7") == rf(BiPoly.monomial(1, 10**9, 7))
+    assert time.perf_counter() - start < 1
+
+
+def test_rendering_takes_time_in_the_terms_not_the_degree():
+    # one chunk per x-degree present, never a loop up to the degree
+    start = time.perf_counter()
+    assert str(parse_rational("x^100000000*q^3 - x^7 + 2")) == \
+        "2 - x^7 + x^100000000*q^3"
     assert time.perf_counter() - start < 1
