@@ -3,16 +3,23 @@ gcd and exact division (one primitive pseudo-remainder sequence and one
 long division, each written once over a coefficient ring: Z for
 polynomials in q, Z[q] for polynomials in x; a gcd with a single-term
 argument is a monomial in closed form, and so is a quotient by a single
-term), reduced rational functions, a matrix container for them, and
-truncated q-series with exact rational coefficients, which multiply and divide by a Pochhammer product one
-linear pass per factor, and divide by another series through one exact
-recurrence over the divisor's nonzero terms (inversion is 1 divided by
-the series).
+term), reduced rational functions, and truncated q-series with exact
+rational coefficients, which multiply and divide by a Pochhammer product
+one linear pass per factor, and divide by another series through one
+exact recurrence over the divisor's nonzero terms (inversion is 1 divided
+by the series).
 
-No floating point anywhere.  Rational functions are kept in a canonical
-reduced form (gcd 1, denominator with positive leading coefficient in the
-lexicographic (deg_x, deg_q) term order), so structural equality decides
-equality of functions.
+Rational arithmetic works on reduced operands, so it takes gcds only of
+the factors that can cancel (Henrici's method, Knuth TAOCP vol. 2,
+4.5.1): (a/b)*(c/d) cancels a against d and c against b; a/b + c/d takes
+g = gcd(b, d) and then only gcd(a*(d/g) + c*(b/g), g); x -> x*q^k takes no
+gcd at all, since it can only make both parts share a power of q.
+
+No floating point anywhere: a rational function's parts are BiPoly, int
+or Fraction, and anything else raises TypeError.  Rational functions are
+kept in a canonical reduced form (gcd 1, denominator with positive leading
+coefficient in the lexicographic (deg_x, deg_q) term order), so structural
+equality decides equality of functions.
 """
 
 from __future__ import annotations
@@ -371,10 +378,11 @@ def bipoly_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
     integer content) times x and q each to the lower of the two smallest
     exponents, with no sequence run.  Otherwise it is the same primitive
     pseudo-remainder sequence as the univariate gcd over Z, run in x over
-    the ring Z[q] on the two x-profiles.  Fast enough for the shipped
-    spec; on larger systems its intermediate integers grow without bound
-    and it dominates `triangularize` (some 9-state specs take over a
-    minute).
+    the ring Z[q] on the two x-profiles.  Rational arithmetic calls it
+    only on factors that can cancel, which keeps it small on the shipped
+    spec and the decided m = 2 specs; on larger systems the sequence's
+    intermediate integers still grow without bound and it dominates
+    `triangularize` (some 9-state specs take over a minute).
     """
     if len(b.terms) == 1:
         a, b = b, a
@@ -415,38 +423,75 @@ def bipoly_lcm(a: BiPoly, b: BiPoly) -> BiPoly:
 # rational functions
 # ---------------------------------------------------------------------------
 
+def _exact_parts(v):
+    """(BiPoly numerator, int denominator) of an exact constructor argument."""
+    if isinstance(v, BiPoly):
+        return v, 1
+    if isinstance(v, (int, Fraction)):
+        return BiPoly.const(v.numerator), v.denominator
+    raise TypeError("rational function parts must be BiPoly, int or Fraction, "
+                    f"not {type(v).__name__}")
+
+
+def _cancel(num, den):
+    """num/g and den/g for g = gcd(num, den); no gcd is taken when den is 1."""
+    if den.is_one():
+        return num, den
+    g = bipoly_gcd(num, den)
+    if g.is_one():
+        return num, den
+    return bipoly_div_exact(num, g), bipoly_div_exact(den, g)
+
+
+def _reduced(num, den):
+    """The RationalFunction num/den for coprime num and nonzero den (den 1
+    when num is 0), with only the sign rule applied: a negative leading
+    denominator coefficient flips both signs.  Every arithmetic result and
+    every constructed value passes through here."""
+    if den.leading_coefficient() < 0:
+        num, den = -num, -den
+    out = object.__new__(RationalFunction)
+    out.num = num
+    out.den = den
+    return out
+
+
+def _product(a, b, c, d):
+    """(a/b)*(c/d) for coprime pairs (a, b) and (c, d), cancelled crosswise:
+    a against d and c against b, and the reduced pieces multiply to a
+    result already in lowest terms."""
+    if a.is_zero() or c.is_zero():
+        return _ZERO
+    a, d = _cancel(a, d)
+    c, b = _cancel(c, b)
+    return _reduced(a * c, b * d)
+
+
 class RationalFunction:
     """Reduced quotient of two BiPoly values.
 
     Invariants: gcd(num, den) = 1 and the denominator's leading coefficient
     (lexicographic (deg_x, deg_q) order) is positive, so equal functions have
-    identical representations.
+    identical representations.  The constructor takes a full gcd; the
+    arithmetic cancels only what can cancel (see the module docstring).
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
-        if isinstance(num, int):
-            num = BiPoly.const(num)
-        if isinstance(den, int):
-            den = BiPoly.const(den)
-        if isinstance(num, Fraction):
-            den = den * num.denominator
-            num = BiPoly.const(num.numerator)
+        num, nd = _exact_parts(num)
+        den, dd = _exact_parts(den)
+        if nd != dd:  # (num/nd) / (den/dd)
+            num, den = num * dd, den * nd
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            self.num = BiPoly()
-            self.den = BiPoly.const(1)
-            return
-        g = bipoly_gcd(num, den)
-        if not g.is_one():
-            num = bipoly_div_exact(num, g)
-            den = bipoly_div_exact(den, g)
-        if den.leading_coefficient() < 0:
-            num, den = -num, -den
-        self.num = num
-        self.den = den
+            den = BiPoly.const(1)
+        else:
+            num, den = _cancel(num, den)
+        out = _reduced(num, den)
+        self.num = out.num
+        self.den = out.den
 
     @classmethod
     def zero(cls):
@@ -471,19 +516,35 @@ class RationalFunction:
         return self.den.is_one()
 
     def __add__(self, other):
+        """a/b + c/d: with g = gcd(b, d) and t = a*(d/g) + c*(b/g), only
+        gcd(t, g) can cancel, so g = 1 needs no second gcd."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == d:
+            t = a + c
+            if t.is_zero():
+                return _ZERO
+            return _reduced(*_cancel(t, b))
+        g = bipoly_gcd(b, d)
+        if g.is_one():
+            return _reduced(a * d + c * b, b * d)
+        bg, dg = bipoly_div_exact(b, g), bipoly_div_exact(d, g)
+        t = a * dg + c * bg
+        if t.is_zero():
+            return _ZERO
+        t, h = _cancel(t, g)
+        return _reduced(t, bg * dg * h)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = object.__new__(RationalFunction)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return _reduced(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -498,7 +559,7 @@ class RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return _product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -508,7 +569,7 @@ class RationalFunction:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return _product(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -531,20 +592,26 @@ class RationalFunction:
     def shift_x(self, k):
         """Substitute x -> x*q^k (k may be negative).
 
-        Negative powers of q are cleared by scaling numerator and denominator
-        with the minimal q-power, keeping all exponents non-negative.
+        The substitution is an automorphism of Z[x, q, 1/q], so the images
+        of the coprime numerator and denominator share no factor but a
+        power of q, which a k of either sign can create.  Dividing both by
+        the largest power of q that leaves all exponents non-negative
+        removes it, with no gcd run; the leading denominator term stays
+        the leading one.
         """
+        if not k or self.is_zero():
+            return self
+
         def subs(p):
             return {(i, j + k * i): c for (i, j), c in p.terms.items()}
 
         tn = subs(self.num)
         td = subs(self.den)
-        low = min((j for _, j in tn), default=0)
-        low = min(low, min((j for _, j in td), default=0))
-        if low < 0:
+        low = min(j for _, j in (*tn, *td))
+        if low:
             tn = {(i, j - low): c for (i, j), c in tn.items()}
             td = {(i, j - low): c for (i, j), c in td.items()}
-        return RationalFunction(BiPoly(tn), BiPoly(td))
+        return _reduced(BiPoly(tn), BiPoly(td))
 
     def __str__(self):
         if self.den.is_one():
@@ -559,6 +626,9 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self})"
+
+
+_ZERO = RationalFunction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +926,7 @@ def parse_rational(text: str) -> RationalFunction:
                 fail("exponent must be a non-negative integer",
                      node.right.col_offset)
             base, e = walk(node.left), node.right.value
-            value = RationalFunction(base.num ** e, base.den ** e)
+            value = _reduced(base.num ** e, base.den ** e)
         else:
             fail("unsupported expression", node.col_offset)
         for link in reversed(chain):

@@ -1053,6 +1053,38 @@ def bipoly_div_exact_by_profiles(a, b):
 
 
 # ---------------------------------------------------------------------------
+# rational arithmetic that forms the whole fraction and reduces it after,
+# by the constructor's full gcd: the reference for RationalFunction's
+# cross-cancelling operators and its gcd-free shift_x
+# ---------------------------------------------------------------------------
+
+def rf_add_reduce_after(a, b):
+    return RationalFunction(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+def rf_sub_reduce_after(a, b):
+    return RationalFunction(a.num * b.den - b.num * a.den, a.den * b.den)
+
+
+def rf_mul_reduce_after(a, b):
+    return RationalFunction(a.num * b.num, a.den * b.den)
+
+
+def rf_div_reduce_after(a, b):
+    return RationalFunction(a.num * b.den, a.den * b.num)
+
+
+def rf_shift_x_reduce_after(a, k):
+    """x -> x*q^k in both parts, both scaled by the q-power that clears
+    negative exponents, then reduced by a gcd."""
+    tn = {(i, j + k * i): c for (i, j), c in a.num.terms.items()}
+    td = {(i, j + k * i): c for (i, j), c in a.den.terms.items()}
+    low = min(0, *(j for _, j in tn), *(j for _, j in td))
+    return RationalFunction(BiPoly({(i, j - low): c for (i, j), c in tn.items()}),
+                            BiPoly({(i, j - low): c for (i, j), c in td.items()}))
+
+
+# ---------------------------------------------------------------------------
 # Pochhammer and x-series references: products built factor by factor and
 # then inverted, general x-series products and long division, series
 # inverses and equations solved by invert-then-multiply, and the

@@ -1,10 +1,12 @@
-"""Byte-exact CLI output for the shipped spec and four other specs.
+"""Byte-exact CLI output for the shipped spec and five other specs.
 
 Each case runs one command and compares its stdout with a file under
 tests/cli_golden/.  The other specs live in tests/cli_golden/specs/: the
 difference-2 spec, a spec with multi-character symbols, an m = 2 spec
-with a 6-state DFA, and an m = 2 spec whose classes are all empty (it
-forbids the all-trivial tail 000), so it derives the equation F = 0.
+with a 6-state DFA, an m = 2 spec whose classes are all empty (it
+forbids the all-trivial tail 000), so it derives the equation F = 0,
+and an m = 2 spec with a 4-state DFA whose triangularized rows have
+denominators of several terms in both x and q.
 The files hold the output of the commands as they stand; any change to
 the text or structured reports shows up here.
 """
@@ -39,7 +41,7 @@ for _name, _target in TARGETS.items():
         CASES[f"derive-{_name}-{_fmt}"] = (
             ["derive", "--format", _fmt]
             + ([] if _target is None else ["--target", _target]))
-for _spec in ("diff2", "multichar", "draw3", "draw8"):
+for _spec in ("diff2", "multichar", "draw1", "draw3", "draw8"):
     _path = str(GOLDEN_DIR / "specs" / f"{_spec}.spec")
     CASES[f"spec-{_spec}-dfa-table"] = ["dfa", "--spec", _path, "table"]
     CASES[f"spec-{_spec}-dfa-prefixes-q0"] = ["dfa", "--spec", _path,

@@ -23,16 +23,27 @@ from reglinked.qseries import equation_residual
 @pytest.fixture(autouse=True)
 def gcd_matches_two_copy_reference(monkeypatch):
     """Every gcd this module's derivations take, in reduced rational
-    functions, lcms or normalize_equation, must equal the reference's."""
+    functions, lcms or normalize_equation, must equal the reference's, and
+    every rational function they build must be in canonical form: coprime
+    parts by the reference gcd and a positive leading denominator
+    coefficient."""
     kernel = qalgebra.bipoly_gcd
+    reduced = qalgebra._reduced
 
     def checked(a, b):
         got = kernel(a, b)
         assert got == bipoly_gcd_by_profiles(a, b), (a, b)
         return got
 
+    def canonical(num, den):
+        out = reduced(num, den)
+        assert bipoly_gcd_by_profiles(out.num, out.den) == 1, (num, den)
+        assert out.den.leading_coefficient() > 0, (num, den)
+        return out
+
     monkeypatch.setattr(qalgebra, "bipoly_gcd", checked)
     monkeypatch.setattr(murraymiller, "bipoly_gcd", checked)
+    monkeypatch.setattr(qalgebra, "_reduced", canonical)
 
 
 def golden_equation(a):

@@ -6,7 +6,10 @@ import pytest
 
 from conftest import (bipoly_div_exact_by_profiles, bipoly_gcd_by_profiles,
                       mat_identity, mat_inverse_T, mat_mul, product_series,
-                      rf_matrix, rf_q_expand, series_inverse_by_recurrence,
+                      rf_add_reduce_after, rf_div_reduce_after,
+                      rf_matrix, rf_mul_reduce_after, rf_q_expand,
+                      rf_shift_x_reduce_after, rf_sub_reduce_after,
+                      series_inverse_by_recurrence,
                       u_div_exact_by_long_division, u_gcd_by_prs)
 from reglinked.qalgebra import (
     BiPoly, Q as q, QSeries, RationalFunction, X as x,
@@ -225,6 +228,92 @@ def test_ring_axioms_random():
         assert a * (b + c) == a * b + a * c
         assert a + b == b + a
         assert a * b == b * a
+
+
+REDUCE_AFTER = {"+": rf_add_reduce_after, "-": rf_sub_reduce_after,
+                "*": rf_mul_reduce_after, "/": rf_div_reduce_after}
+OPERATORS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+             "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+
+def _related_rf_pair(rng):
+    """Two reduced operands, built by the constructor alone: unrelated, with
+    a shared denominator factor, with b's numerator a multiple of a's
+    denominator, with equal denominators, or with a zero among them."""
+    a, b = _random_rf(rng), _random_rf(rng)
+    shape = rng.randrange(6)
+    if shape == 1:
+        c = _random_sparse_bipoly(rng)
+        if not c.is_zero():
+            a = RationalFunction(a.num, a.den * c)
+            b = RationalFunction(b.num, b.den * c)
+    elif shape == 2:
+        b = RationalFunction(b.num * a.den, b.den)
+    elif shape == 3:
+        b = RationalFunction(b.num, a.den)
+    elif shape == 4:
+        a, b = rng.choice(((RationalFunction.zero(), b), (a, RationalFunction.zero())))
+    return a, b
+
+
+def test_arithmetic_matches_reduce_after_reference():
+    rng = random.Random(25)
+    seen = {"equal dens": 0, "shared den factor": 0, "negative-led divisor": 0,
+            "zero operand": 0, "cancelled": 0}
+    for _ in range(600):
+        a, b = _related_rf_pair(rng)
+        seen["equal dens"] += a.den == b.den and not a.den.is_one()
+        seen["shared den factor"] += bipoly_gcd_by_profiles(a.den, b.den).degree_x() > 0
+        seen["negative-led divisor"] += b.num.leading_coefficient() < 0
+        seen["zero operand"] += a.is_zero() or b.is_zero()
+        for name, op in OPERATORS.items():
+            if name == "/" and b.is_zero():
+                continue
+            # equal in structure to a canonical value, so canonical itself
+            assert op(a, b) == REDUCE_AFTER[name](a, b), (name, a, b)
+        product = rf_mul_reduce_after(a, b)
+        seen["cancelled"] += product.den != a.den * b.den
+        for k in range(-3, 4):
+            for r in (a, product):
+                assert r.shift_x(k) == rf_shift_x_reduce_after(r, k), (r, k)
+    assert all(n >= 40 for n in seen.values()), seen
+
+
+@pytest.mark.parametrize("v", [0, 1, -2, Fraction(3, -4), Fraction(5, 2)])
+def test_int_and_fraction_operands_match_reduce_after_reference(v):
+    rng = random.Random(26)
+    for _ in range(40):
+        a = _random_rf(rng)
+        c = RationalFunction(v)
+        for name, op in OPERATORS.items():
+            if name == "/" and v == 0:
+                continue
+            assert op(a, v) == REDUCE_AFTER[name](a, c), (name, a, v)
+            if name == "/" and a.is_zero():
+                continue
+            assert op(v, a) == REDUCE_AFTER[name](c, a), (name, v, a)
+
+
+def test_shift_x_divides_out_a_q_power_made_by_a_positive_k():
+    a = -x * (1 + 2 * q) / (2 * q**2)
+    b = (-1 - 2 * x * q - 3 * x**2) / (-2 * q**2 + x**2 * (3 * q + 2 * q**2))
+    p = a * b
+    # x -> x*q^3 makes every numerator term (x-degree >= 1) a multiple of
+    # q^3 and every denominator term one of q^4, so the parts share q^3
+    assert min(j + 3 * i for i, j in p.num.terms) == 3
+    assert min(j + 3 * i for i, j in p.den.terms) == 4
+    got = p.shift_x(3)
+    assert got == rf_shift_x_reduce_after(p, 3) == a.shift_x(3) * b.shift_x(3)
+    assert got.den == -4 * q + x**2 * (6 * q**6 + 4 * q**7)
+
+
+def test_constructor_takes_only_exact_parts():
+    assert RationalFunction(1, Fraction(1, 2)) == rf(2)
+    assert RationalFunction(x, Fraction(-2, 3)) == (-3 * x) / 2
+    assert RationalFunction(Fraction(1, 2), Fraction(3, 4)) == RationalFunction(2, 3)
+    for args in ((1.5,), (x, 2.0), (1, 1j), (rf(x),)):
+        with pytest.raises(TypeError, match=type(args[-1]).__name__):
+            RationalFunction(*args)
 
 
 def test_division_by_zero_raises():

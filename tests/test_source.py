@@ -61,12 +61,10 @@ def test_no_dead_public_functions():
     assert dead == []
 
 
-def test_unvalidated_partitions_are_built_only_in_partitions():
-    """Only the enumeration in partitions.py builds a Partition or a
-    MultiplicityVector through __new__, skipping the constructor's checks,
-    so parsed specs and CLI input always yield validated objects.  Every
-    __new__ call must name a library class outright: a class passed in a
-    variable could hide a bypass from this check."""
+def _new_calls():
+    """(module, class) of every __new__ call in the library; every call
+    must name a library class outright, since a class passed in a variable
+    could hide a bypass from the checks below."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     classes = {node.name for tree in trees.values() for node in tree.body
@@ -77,9 +75,24 @@ def test_unvalidated_partitions_are_built_only_in_partitions():
              and isinstance(node.func, ast.Attribute)
              and node.func.attr == "__new__"]
     assert all(cls in classes for _, cls in calls), calls
-    assert {(mod, cls) for mod, cls in calls
+    return set(calls)
+
+
+def test_unvalidated_partitions_are_built_only_in_partitions():
+    """Only the enumeration in partitions.py builds a Partition or a
+    MultiplicityVector through __new__, skipping the constructor's checks,
+    so parsed specs and CLI input always yield validated objects."""
+    assert {(mod, cls) for mod, cls in _new_calls()
             if cls in ("Partition", "MultiplicityVector")} == {
         ("partitions.py", "Partition"), ("partitions.py", "MultiplicityVector")}
+
+
+def test_unreduced_rational_functions_are_built_only_in_qalgebra():
+    """Only qalgebra builds a RationalFunction through __new__, skipping the
+    constructor's gcd: its arithmetic knows which factors can cancel, and
+    every other module gets reduced values from the constructor."""
+    assert {mod for mod, cls in _new_calls()
+            if cls == "RationalFunction"} == {"qalgebra.py"}
 
 
 def test_no_code_is_run_from_text():
