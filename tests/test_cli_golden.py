@@ -1,12 +1,13 @@
-"""Byte-exact CLI output for the shipped spec and five other specs.
+"""Byte-exact CLI output for the shipped spec and six other specs.
 
 Each case runs one command and compares its stdout with a file under
 tests/cli_golden/.  The other specs live in tests/cli_golden/specs/: the
-difference-2 spec, a spec with multi-character symbols, an m = 2 spec
-with a 6-state DFA, an m = 2 spec whose classes are all empty (it
-forbids the all-trivial tail 000), so it derives the equation F = 0,
-and an m = 2 spec with a 4-state DFA whose triangularized rows have
-denominators of several terms in both x and q.
+difference-2 spec, the same spec with the forbidden prefix 01 (so its
+machine of I*XI* alone differs from its own machine), a spec with
+multi-character symbols, an m = 2 spec with a 6-state DFA, an m = 2 spec
+whose classes are all empty (it forbids the all-trivial tail 000), so it
+derives the equation F = 0, and an m = 2 spec with a 4-state DFA whose
+triangularized rows have denominators of several terms in both x and q.
 The files hold the output of the commands as they stand; any change to
 the text or structured reports shows up here.
 """
@@ -41,11 +42,16 @@ for _name, _target in TARGETS.items():
         CASES[f"derive-{_name}-{_fmt}"] = (
             ["derive", "--format", _fmt]
             + ([] if _target is None else ["--target", _target]))
-for _spec in ("diff2", "multichar", "draw1", "draw3", "draw8"):
+# the non-accepting states of each other spec's DFA
+SPEC_STATES = {"diff2": (0, 1, 2), "diff2-prefixes": (0, 1, 2, 3),
+               "multichar": (0, 1, 2), "draw1": (0, 1, 2),
+               "draw3": (0, 1, 2, 3, 4), "draw8": (0, 1, 2, 3, 4, 6)}
+for _spec, _states in SPEC_STATES.items():
     _path = str(GOLDEN_DIR / "specs" / f"{_spec}.spec")
     CASES[f"spec-{_spec}-dfa-table"] = ["dfa", "--spec", _path, "table"]
-    CASES[f"spec-{_spec}-dfa-prefixes-q0"] = ["dfa", "--spec", _path,
-                                              "prefixes", "q0"]
+    for _v in _states:
+        CASES[f"spec-{_spec}-dfa-prefixes-q{_v}"] = ["dfa", "--spec", _path,
+                                                     "prefixes", f"q{_v}"]
     for _fmt in ("text", "structured"):
         CASES[f"spec-{_spec}-derive-{_fmt}"] = ["derive", "--spec", _path,
                                                 "--format", _fmt]
