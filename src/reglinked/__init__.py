@@ -23,7 +23,7 @@ from .automata import (
 )
 from .linked import (
     LinkedSpec, LpiData, QDifferenceSystem, build_forbidden_dfa, derive_system,
-    encode, load_spec, lpi_to_spec, member, nandi_spec, nandi_spec_path,
+    load_spec, lpi_to_spec, member, nandi_spec, nandi_spec_path,
     series_from_system, state_for_class,
 )
 from .murraymiller import (
@@ -32,8 +32,8 @@ from .murraymiller import (
 )
 from .qseries import (
     XSeries, closed_form_i, double_sum, euler_check, evaluate_x1,
-    g_limit_check, nandi_equation, nandi_product, remark_single_sum_check,
-    slater_check, solve_equation, transform_chain,
+    nandi_equation, nandi_product, remark_single_sum_check, slater_check,
+    solve_equation, transform_chain,
 )
 
 __version__ = "0.1.0"

@@ -427,7 +427,8 @@ def min_forbidden_prefixes(m: Dfa, v: int, x_pattern: Dfa) -> Dfa:
     "anything matching the pattern set, or beginning with a prefix".
 
     Computes  (L(M_v)  intersect  L(M_v)^c . Sigma)  minus  L(x_pattern),
-    where x_pattern recognizes Sigma*X, by one breadth-first walk over
+    where x_pattern recognizes Sigma*X, or Sigma*X Sigma* when every word
+    with a match of X is in L(M_v), by one breadth-first walk over
     (state of m, "the state before the last symbol was rejecting", state of
     x_pattern) from (v, False, x_pattern.start), then minimized.
     """

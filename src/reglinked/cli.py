@@ -45,15 +45,14 @@ def _print_dfa(title, dfa, fmt, out):
 def cmd_dfa(args, out):
     spec = _load_spec(args.spec)
     dfa = linked.build_forbidden_dfa(spec)
-    if args.action in ("build", "minimize", "table"):
+    if args.action == "table":
         return _print_dfa("minimal forbidden-language DFA", dfa, args.format, out)
-    # prefixes <state>
-    x_pattern = automata.dfa_from_regex(
-        automata.Concat(linked.sigma_star(spec), spec.forbidden_patterns),
-        spec.alphabet)
+    # prefixes <state>: every word with a match of X is forbidden, so the
+    # cached machine of I*XI* serves as the pattern machine
     try:
         v = _state_arg(args.state)
-        result = automata.min_forbidden_prefixes(dfa, v, x_pattern)
+        result = automata.min_forbidden_prefixes(
+            dfa, v, linked.build_forbidden_dfa(spec.pattern_spec))
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -182,7 +181,7 @@ def build_parser():
     p_dfa = sub.add_parser("dfa", help="build/inspect the forbidden-language DFA")
     p_dfa.add_argument("--spec", default=None, help="spec file (default: shipped mod-14 spec)")
     p_dfa.add_argument("--format", choices=("text", "structured"), default="text")
-    p_dfa.add_argument("action", choices=("build", "minimize", "table", "prefixes"))
+    p_dfa.add_argument("action", choices=("table", "prefixes"))
     p_dfa.add_argument("state", nargs="?", help="state label for 'prefixes' (e.g. q7)")
 
     p_der = sub.add_parser("derive", help="derive the single q-difference equation")

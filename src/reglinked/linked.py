@@ -34,10 +34,6 @@ class SpecError(ValueError):
     pass
 
 
-class BlockEncodingError(ValueError):
-    """A multiplicity block is not in the image of pi."""
-
-
 class MissingTrivialSymbolError(ValueError):
     """The alphabet has no symbol mapping to the empty partition, so
     infinite padded sequences do not exist and membership is undefined."""
@@ -51,8 +47,8 @@ class LinkedSpec:
     block table (the parts of each image of pi, smallest first -> its
     symbol's alphabet index, which is the DFA's column; building it is the
     injectivity check), ``trivial_symbol`` (the symbol of the empty
-    partition, or None when there is none), the spec with X' emptied
-    (itself when X' is empty) and the hash.
+    partition, or None when there is none), ``pattern_spec`` (the spec
+    with X' emptied, itself when X' is empty) and the hash.
     """
 
     m: int
@@ -90,7 +86,7 @@ class LinkedSpec:
         trivial = column_of_block.get(())
         object.__setattr__(self, "trivial_symbol",
                            None if trivial is None else self.alphabet[trivial])
-        object.__setattr__(self, "_pattern_spec", self if isinstance(
+        object.__setattr__(self, "pattern_spec", self if isinstance(
             self.forbidden_prefixes, Empty) else replace(
                 self, forbidden_prefixes=Empty()))
         # the regex trees hash recursively, and every build_forbidden_dfa
@@ -184,36 +180,8 @@ def nandi_spec() -> LinkedSpec:
 
 
 def nandi_spec_path() -> str:
+    """The path of the shipped spec file, a template for ``--spec``."""
     return str(resources.files("reglinked.data").joinpath("nandi.spec"))
-
-
-# ---------------------------------------------------------------------------
-# block encoding
-# ---------------------------------------------------------------------------
-
-def encode(p: Partition, spec: LinkedSpec):
-    """Cut the multiplicity vector into length-m blocks and name each block.
-
-    Block k holds the parts in (k*m, (k+1)*m], shifted down by k*m: the
-    partition that the k-th length-m multiplicity block spells.
-    Returns the symbol sequence; the top block holds the largest part, so
-    the sequence never ends in the trivial symbol.  Raises
-    BlockEncodingError, naming the lowest offset, when some block is not
-    in the image of pi.
-    """
-    m = spec.m
-    blocks = [[] for _ in range(-(-p.parts[0] // m) if p.parts else 0)]
-    for part in p.parts:
-        k = (part - 1) // m
-        blocks[k].append(part - k * m)
-    word = []
-    for block in blocks:
-        col = spec._column_of_block.get(tuple(block[::-1]))
-        if col is None:
-            raise BlockEncodingError(
-                f"block {block} at offset {len(word)} not in the image of pi")
-        word.append(spec.alphabet[col])
-    return tuple(word)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +315,7 @@ def state_for_class(spec: LinkedSpec, extra_prefixes: Regex):
     # object, which the many member lookups then hit by identity, not by ==,
     # and the second lookup is then the same entry
     dfa = build_forbidden_dfa(spec)
-    pattern = build_forbidden_dfa(spec._pattern_spec)
+    pattern = build_forbidden_dfa(spec.pattern_spec)
     extra = dfa_from_regex(automata.Concat(extra_prefixes, sigma_star(spec)),
                            spec.alphabet)
     rows = (dfa.transitions, pattern.transitions, extra.transitions)

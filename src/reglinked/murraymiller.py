@@ -44,10 +44,6 @@ class QDifferenceEquation:
     def order(self):
         return len(self.coeffs) - 1
 
-    def __str__(self):
-        parts = [f"p{self.step * i}: {c}" for i, c in enumerate(self.coeffs)]
-        return "\n".join(parts)
-
 
 def reorder(sys: QDifferenceSystem, order) -> QDifferenceSystem:
     """Simultaneous row, column and seed permutation to the given order."""

@@ -14,8 +14,11 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
         for i, p in enumerate(parts):
+            # exact type: int() would truncate 2.5 and read True as 1
+            if type(p) is not int:
+                raise TypeError(f"parts must be ints, got {type(p).__name__}")
             if p < 1:
                 raise ValueError("parts must be positive integers")
             if i and parts[i - 1] < p:
@@ -60,7 +63,10 @@ class MultiplicityVector:
     __slots__ = ("mults",)
 
     def __init__(self, mults=()):
-        mults = list(map(int, mults))
+        mults = list(mults)
+        for v in mults:
+            if type(v) is not int:
+                raise TypeError(f"multiplicities must be ints, got {type(v).__name__}")
         if mults and min(mults) < 0:
             raise ValueError("multiplicities must be non-negative")
         while mults and mults[-1] == 0:

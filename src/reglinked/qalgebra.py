@@ -184,10 +184,14 @@ class BiPoly:
 
     @classmethod
     def const(cls, n):
-        return cls({(0, 0): int(n)})
+        if not isinstance(n, int):
+            raise TypeError(f"BiPoly coefficient must be an int, got {type(n).__name__}")
+        return cls({(0, 0): n})
 
     @classmethod
     def monomial(cls, c, i, j):
+        if not isinstance(c, int):
+            raise TypeError(f"BiPoly coefficient must be an int, got {type(c).__name__}")
         return cls({(i, j): c})
 
     # -- structure ----------------------------------------------------------
@@ -693,12 +697,12 @@ class QSeries:
         return all(c == 0 for c in self.coeffs)
 
     def __add__(self, other):
+        if isinstance(other, QSeries):
+            t = min(self.order, other.order)
+            return QSeries([self.coeffs[n] + other.coeffs[n] for n in range(t + 1)], t)
         if isinstance(other, (int, Fraction)):
-            out = QSeries(self.coeffs, self.order)
-            out.coeffs[0] += other
-            return out
-        t = min(self.order, other.order)
-        return QSeries([self.coeffs[n] + other.coeffs[n] for n in range(t + 1)], t)
+            return QSeries([self.coeffs[0] + other, *self.coeffs[1:]], self.order)
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -712,8 +716,10 @@ class QSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QSeries([c * other for c in self.coeffs], self.order)
+        if not isinstance(other, QSeries):
+            if isinstance(other, (int, Fraction)):
+                return QSeries([c * other for c in self.coeffs], self.order)
+            return NotImplemented
         t = min(self.order, other.order)
         out = [0] * (t + 1)
         for i, c in enumerate(self.coeffs):

@@ -20,10 +20,6 @@ from .qalgebra import (
 )
 
 
-class StabilizationError(ArithmeticError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # series with an x-direction
 # ---------------------------------------------------------------------------
@@ -319,41 +315,6 @@ def h_equation(r_coeffs, s: int, step: int):
     for (i, d, j), c in raw.items():
         coeffs[i][(d, j + shift)] = c
     return [RationalFunction(BiPoly(terms)) for terms in coeffs]
-
-
-# ---------------------------------------------------------------------------
-# closed-form g, stabilization, and the x = 1 value
-# ---------------------------------------------------------------------------
-
-def g_closed_form(a: int, L: int, order: int) -> QSeries:
-    """g_L from the closed double-quotient form, truncated at q^order."""
-    s, t = CLASS_ST[a]
-    acc = QSeries.zero(order)
-    for M in range(L + 1):
-        if M * (M + 2 * t) > order:
-            break
-        acc = acc + closed_form_i(a, M, order).div_poch(-1, 2, 2, L - M)
-    return acc.mul_poch(1, 1 + s, 1, 2 * L)
-
-
-def g_limit_check(a: int, L_max: int, order: int) -> QSeries:
-    """Witness the formal limit of g_L by stabilization at two consecutive
-    L, cross-check the single-sum expression for the x = 1 value, and
-    return that value (through the stabilized order)."""
-    if L_max < 1:
-        raise ValueError("L_max must be >= 1")
-    s, t = CLASS_ST[a]
-    t_stab = max(0, min(order, 2 * L_max - 2))
-    g_prev = g_closed_form(a, L_max - 1, order)
-    g_last = g_closed_form(a, L_max, order)
-    if g_prev.truncate(t_stab) != g_last.truncate(t_stab):
-        raise StabilizationError(
-            f"g_L not stabilized through q^{t_stab} at L = {L_max}")
-    value = g_last.truncate(t_stab).mul_poch(-1, 2, 2)
-    rhs = _slater_sum(s, t, t_stab).mul_poch(1, 1, 1)
-    if value != rhs:
-        raise StabilizationError("limit value disagrees with the single-sum form")
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from reglinked.qalgebra import (BiPoly, Q as q, QSeries, RationalFunction,
                                 X as x, _bipoly_from_profile,
                                 _poch_exponents, _u_mul, _u_neg, _u_sub,
                                 _u_trim, rf_x_coefficient_series)
-from reglinked.qseries import CLASS_ST, XSeries
+from reglinked.qseries import CLASS_ST, XSeries, _slater_sum, closed_form_i
 
 ONE = BiPoly.const(1)
 
@@ -374,7 +374,7 @@ def empty_dfa(alphabet) -> Dfa:
 
 
 def decode(word, spec):
-    """Inverse of linked.encode on its image: assemble shifted blocks."""
+    """Inverse of encode on its image: assemble shifted blocks."""
     from reglinked.linked import SpecError
 
     out = EMPTY
@@ -391,11 +391,39 @@ def decode(word, spec):
 # independent routes kept as test-only references
 # ---------------------------------------------------------------------------
 
+class BlockEncodingError(ValueError):
+    """A multiplicity block is not in the image of pi."""
+
+
+def encode(p, spec):
+    """Cut the multiplicity vector into length-m blocks and name each block.
+
+    Block k holds the parts in (k*m, (k+1)*m], shifted down by k*m: the
+    partition that the k-th length-m multiplicity block spells.
+    Returns the symbol sequence; the top block holds the largest part, so
+    the sequence never ends in the trivial symbol.  Raises
+    BlockEncodingError, naming the lowest offset, when some block is not
+    in the image of pi.
+    """
+    m = spec.m
+    blocks = [[] for _ in range(-(-p.parts[0] // m) if p.parts else 0)]
+    for part in p.parts:
+        k = (part - 1) // m
+        blocks[k].append(part - k * m)
+    word = []
+    for block in blocks:
+        col = spec._column_of_block.get(tuple(block[::-1]))
+        if col is None:
+            raise BlockEncodingError(
+                f"block {block} at offset {len(word)} not in the image of pi")
+        word.append(spec.alphabet[col])
+    return tuple(word)
+
+
 def encode_by_multiplicities(p, spec):
-    """linked.encode by the multiplicity-vector route: every symbol's
+    """encode by the multiplicity-vector route: every symbol's
     length-m block read off to_multiplicities(pi(symbol)), and the
     partition's multiplicity vector cut into length-m blocks."""
-    from reglinked.linked import BlockEncodingError
     from reglinked.partitions import to_multiplicities
 
     m = spec.m
@@ -422,9 +450,7 @@ def member_by_full_tail(p, spec, state=None):
     """linked.member by encoding, catching the encoding error, then running
     the word and |Q| trivial symbols: the trivial trajectory becomes
     periodic within |Q| steps, so this finite check decides the tail."""
-    from reglinked.linked import (BlockEncodingError,
-                                  MissingTrivialSymbolError,
-                                  build_forbidden_dfa, encode)
+    from reglinked.linked import MissingTrivialSymbolError, build_forbidden_dfa
 
     triv = spec.trivial_symbol
     if triv is None:
@@ -1245,6 +1271,45 @@ def h_equation_by_z_form(r_coeffs, s: int, step: int):
                 terms[(d, qe + shift)] = terms.get((d, qe + shift), 0) + c
         coeffs.append(RationalFunction(BiPoly(terms)))
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# closed-form g_L and a numeric witness of the x = 1 limit
+# ---------------------------------------------------------------------------
+
+class StabilizationError(ArithmeticError):
+    pass
+
+
+def g_closed_form(a: int, L: int, order: int) -> QSeries:
+    """g_L from the closed double-quotient form, truncated at q^order."""
+    s, t = CLASS_ST[a]
+    acc = QSeries.zero(order)
+    for M in range(L + 1):
+        if M * (M + 2 * t) > order:
+            break
+        acc = acc + closed_form_i(a, M, order).div_poch(-1, 2, 2, L - M)
+    return acc.mul_poch(1, 1 + s, 1, 2 * L)
+
+
+def g_limit_check(a: int, L_max: int, order: int) -> QSeries:
+    """Witness the formal limit of g_L by stabilization at two consecutive
+    L, cross-check the single-sum expression for the x = 1 value, and
+    return that value (through the stabilized order)."""
+    if L_max < 1:
+        raise ValueError("L_max must be >= 1")
+    s, t = CLASS_ST[a]
+    t_stab = max(0, min(order, 2 * L_max - 2))
+    g_prev = g_closed_form(a, L_max - 1, order)
+    g_last = g_closed_form(a, L_max, order)
+    if g_prev.truncate(t_stab) != g_last.truncate(t_stab):
+        raise StabilizationError(
+            f"g_L not stabilized through q^{t_stab} at L = {L_max}")
+    value = g_last.truncate(t_stab).mul_poch(-1, 2, 2)
+    rhs = _slater_sum(s, t, t_stab).mul_poch(1, 1, 1)
+    if value != rhs:
+        raise StabilizationError("limit value disagrees with the single-sum form")
+    return value
 
 
 # ---------------------------------------------------------------------------

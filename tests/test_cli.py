@@ -49,6 +49,14 @@ def test_dfa_prefixes(capsys):
     assert equivalent(got, want)
 
 
+@pytest.mark.parametrize("action", ["build", "minimize"])
+def test_dfa_actions_are_table_and_prefixes(capsys, action):
+    with pytest.raises(SystemExit) as exc:
+        main(["dfa", action])
+    assert exc.value.code == 2
+    assert f"invalid choice: '{action}'" in capsys.readouterr().err
+
+
 def test_dfa_prefixes_accepting_state_fails(capsys):
     code, _, err = run(capsys, "dfa", "prefixes", "q6")
     assert code == 2

@@ -8,21 +8,23 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (CLASS_PREFIXES, CLASS_STATE, GOLDEN_DFA_ACCEPT,
-                      GOLDEN_DFA_TABLE, GOLDEN_SYSTEM_ROWS,
+from conftest import (BlockEncodingError, CLASS_PREFIXES, CLASS_STATE,
+                      GOLDEN_DFA_ACCEPT, GOLDEN_DFA_TABLE, GOLDEN_SYSTEM_ROWS,
                       brute_partition_counts, check_dfa_from_regex_calls,
-                      decode, encode_by_multiplicities, fixed_point_series,
+                      decode, encode, encode_by_multiplicities,
+                      fixed_point_series,
                       isomorphism, member_by_full_tail, random_spec,
                       rf_matrix, state_for_class_by_equivalence,
                       trivial_walk_survival, untrimmed_system)
 from reglinked import linked
-from reglinked.automata import (Dfa, Empty, Regex, Symbol, dfa_from_regex,
+from reglinked.automata import (Concat, Dfa, Empty, Regex, Symbol,
+                                dfa_from_regex, min_forbidden_prefixes,
                                 parse_regex)
 from reglinked.linked import (
-    BlockEncodingError, LinkedSpec, LpiData, MissingTrivialSymbolError,
-    QDifferenceSystem, SpecError, build_forbidden_dfa, derive_system, encode,
-    load_spec, lpi_to_spec, member, nandi_spec, nandi_spec_path,
-    parse_spec_text, series_from_system, state_for_class,
+    LinkedSpec, LpiData, MissingTrivialSymbolError, QDifferenceSystem,
+    SpecError, build_forbidden_dfa, derive_system, load_spec, lpi_to_spec,
+    member, nandi_spec, nandi_spec_path, parse_spec_text, series_from_system,
+    state_for_class,
 )
 from reglinked.partitions import (EMPTY, Partition, in_class, partitions_of,
                                   satisfies_nandi)
@@ -317,6 +319,35 @@ def test_state_for_class_matches_equivalence_route():
             assert state_for_class(spec, target) == want, (spec, target)
             found[k % 2, want is not None] += 1
     assert min(found.values()) >= 20, found
+
+
+def test_prefixes_against_the_pattern_machine_match_the_sigma_star_x_route():
+    # dfa prefixes passes the cached machine of I* X I* where the pattern
+    # machine should recognize I* X: the u of a word ua in the result is
+    # outside the restarted language, so it holds no match of X, and ua is
+    # in I* X I* exactly when it is in I* X.  Odd specs forbid a union of
+    # short words as prefixes, so their pattern spec is another spec.
+    rng = random.Random(3141)
+    found = {False: 0, True: 0}
+    for k in range(300):
+        spec = random_spec(rng)
+        if k % 2:
+            prefixes = "U".join(
+                "".join(rng.choice(spec.alphabet) for _ in range(rng.randint(1, 2)))
+                for _ in range(rng.randint(1, 2)))
+            spec = dataclasses.replace(
+                spec, forbidden_prefixes=parse_regex(prefixes, spec.alphabet))
+        dfa = build_forbidden_dfa(spec)
+        pattern = build_forbidden_dfa(spec.pattern_spec)
+        sigma_star_x = dfa_from_regex(
+            Concat(linked.sigma_star(spec), spec.forbidden_patterns),
+            spec.alphabet)
+        for v in range(dfa.num_states):
+            if v not in dfa.accept:
+                got = min_forbidden_prefixes(dfa, v, pattern)
+                assert got == min_forbidden_prefixes(dfa, v, sigma_star_x), (spec, v)
+                found[spec.pattern_spec is spec] += 1
+    assert min(found.values()) >= 300, found
 
 
 def _contains(r, sub):

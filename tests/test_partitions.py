@@ -1,5 +1,6 @@
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,23 @@ def test_partition_validation():
         Partition((2, 0))
     p = Partition((3, 1))
     assert p.weight == 4 and len(p) == 2
+
+
+@pytest.mark.parametrize("build, values, kind", [
+    (Partition, (2.5, 1), "float"),
+    (Partition, ("3", "1"), "str"),
+    (Partition, (Fraction(5, 2),), "Fraction"),
+    (Partition, (True,), "bool"),
+    (Partition, (3, 2.0), "float"),
+    (MultiplicityVector, [1.7, 0.2], "float"),
+    (MultiplicityVector, [0, True], "bool"),
+    (MultiplicityVector, ["1"], "str"),
+    (MultiplicityVector, [Fraction(2)], "Fraction"),
+])
+def test_partition_types_take_only_ints(build, values, kind):
+    # int() would truncate: Partition((2.5, 1)) was Partition(2, 1)
+    with pytest.raises(TypeError, match=f"ints, got {kind}$"):
+        build(values)
 
 
 def test_pickle_round_trip():

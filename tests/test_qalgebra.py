@@ -316,6 +316,30 @@ def test_constructor_takes_only_exact_parts():
             RationalFunction(*args)
 
 
+@pytest.mark.parametrize("c", [2.7, 1.5, Fraction(1, 2), "2", None])
+def test_bipoly_constructors_take_only_int_coefficients(c):
+    # int() made BiPoly.const(2.7) the constant 2; monomial stored a float
+    for build in (lambda: BiPoly.const(c), lambda: BiPoly.monomial(c, 0, 1)):
+        with pytest.raises(TypeError, match=f"int, got {type(c).__name__}$"):
+            build()
+    assert BiPoly.const(-3) == -3
+    assert BiPoly.monomial(2, 1, 3) == 2 * x * q**3
+
+
+@pytest.mark.parametrize("op", [
+    lambda s: s * 0.5, lambda s: 0.5 * s, lambda s: s + 0.5,
+    lambda s: 0.5 + s, lambda s: s - 0.5, lambda s: 0.5 - s,
+    lambda s: s * 1j, lambda s: s + None,
+], ids=["mul", "rmul", "add", "radd", "sub", "rsub", "complex", "none"])
+def test_series_arithmetic_takes_only_exact_scalars(op):
+    # a float once reached other.order: AttributeError, not TypeError
+    s = QSeries([1, 2, 3])
+    with pytest.raises(TypeError):
+        op(s)
+    assert (s * Fraction(1, 2)).coeffs == [Fraction(1, 2), 1, Fraction(3, 2)]
+    assert (2 - s).coeffs == [1, -2, -3]
+
+
 def test_division_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         rf(1) / RationalFunction.zero()

@@ -6,7 +6,8 @@ import pytest
 from conftest import (GOLDEN_EQUATION, div_poch_full,
                       double_sum_by_whole_terms,
                       equation_residual_over_every_f,
-                      euler_series_by_whole_terms, h_equation_by_z_form,
+                      euler_series_by_whole_terms, g_closed_form,
+                      g_limit_check, h_equation_by_z_form,
                       mul_poch_full, quotient_from_the_bottom,
                       remark_single_sum_series_by_whole_terms,
                       slater_series_by_whole_terms, solve_equation_by_inverse,
@@ -20,10 +21,10 @@ from reglinked.qalgebra import (BiPoly, Q as q, QSeries, RationalFunction,
                                 X as x)
 from reglinked.qseries import (
     CLASS_ST, XSeries, closed_form_i, double_sum, equation_residual,
-    euler_check, euler_series, evaluate_x1, g_closed_form, g_equation,
-    g_limit_check, h_equation, nandi_class_state, nandi_equation,
-    nandi_product, remark_single_sum_check, remark_single_sum_series,
-    slater_check, slater_series, solve_equation, transform_chain,
+    euler_check, euler_series, evaluate_x1, g_equation, h_equation,
+    nandi_class_state, nandi_equation, nandi_product,
+    remark_single_sum_check, remark_single_sum_series, slater_check,
+    slater_series, solve_equation, transform_chain,
 )
 
 

@@ -38,9 +38,10 @@ def test_no_dead_private_helpers():
 
 
 def test_no_dead_public_functions():
-    """Every public module-level function or class is exported by the
-    package or named somewhere in the library besides its own definition,
-    in the benchmark's scripts or in the README."""
+    """Every public module-level function or class is named in a library
+    module besides its own definition, in the benchmark's scripts or in the
+    README.  The package's re-exports in __init__.py are not a use: a name
+    that only the tests call belongs with them in tests/conftest.py."""
     defined = []
     named = set()
     for path in sorted(SRC.glob("*.py")):
@@ -48,6 +49,8 @@ def test_no_dead_public_functions():
         defined.extend((path.name, node.name) for node in tree.body
                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                        and not node.name.startswith("_"))
+        if path.name == "__init__.py":
+            continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)
