@@ -1,9 +1,12 @@
 """Exact arithmetic kernel: bivariate integer polynomials in (x, q), their
 gcd and exact division (one primitive pseudo-remainder sequence and one
 long division, each written once over a coefficient ring: Z for
-polynomials in q, Z[q] for polynomials in x; a gcd with a single-term
-argument is a monomial in closed form, and so is a quotient by a single
-term), reduced rational functions, and truncated q-series with exact
+polynomials in q, Z[q] for polynomials in x; the sequence divides each
+pseudo-remainder by the powers of the dividend's leading coefficient it
+holds before taking its content, a gcd splits off the monomial content
+x^i q^j of each argument and runs no sequence when either rest is a
+constant, and a quotient by a single term is in closed form), reduced
+rational functions, and truncated q-series with exact
 rational coefficients, which multiply and divide by a Pochhammer product
 one linear pass per factor, and divide by another series through one
 exact recurrence over the divisor's nonzero terms (inversion is 1 divided
@@ -109,16 +112,35 @@ def _content_split(a, ring):
     return g, [div(c, g) for c in a]
 
 
+def _strip_lc_powers(r, lc, ring):
+    """r divided by lc for as long as every coefficient divides exactly; r
+    as it is when lc is a unit, whose powers never stop dividing."""
+    if lc == ring.one or lc == ring.neg(ring.one):
+        return r
+    try:
+        while r:
+            r = [ring.div(c, lc) for c in r]
+    except ArithmeticError:
+        pass
+    return r
+
+
 def _prs_gcd(a, b, ring):
     """gcd of two polynomials over ring by the primitive pseudo-remainder
     sequence (Brown, J. ACM 18, 1971), with the last integer of its leading
-    coefficient positive.  Either input may be zero."""
+    coefficient positive.  Either input may be zero.
+
+    Each pseudo-remainder of pa by pb is first divided by the powers of
+    lc(pa) it holds, the divisor of Collins' reduced sequence (J. ACM 14,
+    1967), which is most of its content; what is left of the content is
+    smaller to find, and the primitive part is the same up to sign."""
     ca, pa = _content_split(_u_trim(list(a)), ring)
     cb, pb = _content_split(_u_trim(list(b)), ring)
     if len(pa) < len(pb):
         pa, pb = pb, pa
     while pb:
-        pa, pb = pb, _content_split(_pseudo_rem(pa, pb, ring), ring)[1]
+        r = _strip_lc_powers(_pseudo_rem(pa, pb, ring), pa[-1], ring)
+        pa, pb = pb, _content_split(r, ring)[1]
     c = ring.gcd(ca, cb)
     g = [ring.mul(e, c) for e in pa]
     if g and ring.last(g[-1]) < 0:
@@ -374,28 +396,52 @@ def _bipoly_from_profile(prof):
     return BiPoly({(i, j): c for i, ql in enumerate(prof) for j, c in enumerate(ql)})
 
 
+def _shift(a, i, j):
+    """a times x^i q^j; a negative i or j divides by that power."""
+    if not (i or j):
+        return a
+    return BiPoly({(k + i, l + j): c for (k, l), c in a.terms.items()})
+
+
+def _monomial_split(a):
+    """(i, j, rest) with a = x^i q^j * rest for a nonzero a, where i and j
+    are a's smallest x- and q-exponents, so neither x nor q divides rest."""
+    i = min(k for k, _ in a.terms)
+    j = min(l for _, l in a.terms)
+    return i, j, _shift(a, -i, -j)
+
+
 def bipoly_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
     """gcd in Z[x, q], sign-normalized so the leading coefficient is positive.
 
-    When either argument is a single term c x^i q^j (a constant included),
-    the gcd is a monomial in closed form: gcd(|c|, the other argument's
-    integer content) times x and q each to the lower of the two smallest
-    exponents, with no sequence run.  Otherwise it is the same primitive
-    pseudo-remainder sequence as the univariate gcd over Z, run in x over
-    the ring Z[q] on the two x-profiles.  Rational arithmetic calls it
-    only on factors that can cancel, which keeps it small on the shipped
-    spec and the decided m = 2 specs; on larger systems the sequence's
-    intermediate integers still grow without bound and it dominates
-    `triangularize` (some 9-state specs take over a minute).
+    Each argument splits into its monomial content x^i q^j and a rest; x
+    and q are primes of Z[x, q], so the gcd is x and q each to the lower
+    of the two exponents times the gcd of the rests.  When either rest is
+    a constant c (a single-term argument included), that gcd is gcd(|c|,
+    the other rest's integer content), with no sequence run.  Otherwise it
+    is the same primitive pseudo-remainder sequence as the univariate gcd
+    over Z, run in x over the ring Z[q] on the two x-profiles.  Rational
+    arithmetic calls it only on factors that can cancel, which keeps it
+    small on the shipped spec and most m = 2 specs; on larger systems the
+    sequence's intermediate integers still grow without bound and it
+    dominates `triangularize` (the m = 2 spec with the forbidden patterns
+    `303U24U114U01U34U423` runs for minutes).
     """
+    if a.is_zero() or b.is_zero():
+        g = b if a.is_zero() else a
+        return -g if g.leading_coefficient() < 0 else g
+    i, j, a = _monomial_split(a)
+    k, l, b = _monomial_split(b)
     if len(b.terms) == 1:
         a, b = b, a
     if len(a.terms) == 1:
-        ((i, j), c), = a.terms.items()
-        for (k, l), d in b.terms.items():
-            c, i, j = _int_gcd(c, d), min(i, k), min(j, l)
-        return BiPoly({(i, j): abs(c)})
-    return _bipoly_from_profile(_prs_gcd(a.x_profile(), b.x_profile(), _ZQ))
+        c = a.constant_value()
+        for d in b.terms.values():
+            c = _int_gcd(c, d)
+        g = BiPoly.const(abs(c))
+    else:
+        g = _bipoly_from_profile(_prs_gcd(a.x_profile(), b.x_profile(), _ZQ))
+    return _shift(g, min(i, k), min(j, l))
 
 
 def bipoly_div_exact(a: BiPoly, b: BiPoly) -> BiPoly:

@@ -1,4 +1,4 @@
-"""Byte-exact CLI output for the shipped spec and six other specs.
+"""Byte-exact CLI output for the shipped spec and seven other specs.
 
 Each case runs one command and compares its stdout with a file under
 tests/cli_golden/.  The other specs live in tests/cli_golden/specs/: the
@@ -6,8 +6,10 @@ difference-2 spec, the same spec with the forbidden prefix 01 (so its
 machine of I*XI* alone differs from its own machine), a spec with
 multi-character symbols, an m = 2 spec with a 6-state DFA, an m = 2 spec
 whose classes are all empty (it forbids the all-trivial tail 000), so it
-derives the equation F = 0, and an m = 2 spec with a 4-state DFA whose
-triangularized rows have denominators of several terms in both x and q.
+derives the equation F = 0, an m = 2 spec with a 4-state DFA whose
+triangularized rows have denominators of several terms in both x and q,
+and a second m = 2 spec with a 6-state DFA (draw5) whose derivation runs
+long chains of gcds with large contents over Z[q].
 The files hold the output of the commands as they stand; any change to
 the text or structured reports shows up here.
 """
@@ -45,7 +47,8 @@ for _name, _target in TARGETS.items():
 # the non-accepting states of each other spec's DFA
 SPEC_STATES = {"diff2": (0, 1, 2), "diff2-prefixes": (0, 1, 2, 3),
                "multichar": (0, 1, 2), "draw1": (0, 1, 2),
-               "draw3": (0, 1, 2, 3, 4), "draw8": (0, 1, 2, 3, 4, 6)}
+               "draw3": (0, 1, 2, 3, 4), "draw5": (0, 1, 2, 3, 4),
+               "draw8": (0, 1, 2, 3, 4, 6)}
 for _spec, _states in SPEC_STATES.items():
     _path = str(GOLDEN_DIR / "specs" / f"{_spec}.spec")
     CASES[f"spec-{_spec}-dfa-table"] = ["dfa", "--spec", _path, "table"]

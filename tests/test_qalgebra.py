@@ -106,6 +106,10 @@ def _check_against_reference(pairs, gcd, gcd_ref, div, div_ref, mul):
     assert seen == {"quotient", ArithmeticError, ZeroDivisionError}
 
 
+def _q_list_with_lead(rng, degree, lead):
+    return [rng.randint(-4, 4) for _ in range(degree)] + [lead]
+
+
 def test_u_gcd_and_division_match_two_copy_reference():
     rng = random.Random(20)
     pairs = []
@@ -115,8 +119,32 @@ def test_u_gcd_and_division_match_two_copy_reference():
             c = _random_q_list(rng)
             a, b = _u_mul(a, c), _u_mul(b, c)
         pairs.append((a, b))
+    # independent terms c*q^j on each side
+    for _ in range(300):
+        a, b = (_u_mul(_random_q_list(rng),
+                       [0] * rng.randint(0, 3) + [rng.choice((-2, -1, 1, 3))])
+                for _ in range(2))
+        pairs.append((a, b))
+    # degree 4-6 with a non-unit leading coefficient, whose powers the
+    # pseudo-remainders carry, and with leading coefficient -1, a unit
+    for lead in (2, -3, 4, 6, -1):
+        for _ in range(40):
+            a, b = (_q_list_with_lead(rng, rng.randint(4, 6), lead)
+                    for _ in range(2))
+            if rng.random() < 0.5:
+                c = _q_list_with_lead(rng, rng.randint(1, 2), lead)
+                a, b = _u_mul(a, c), _u_mul(b, c)
+            pairs.append((a, b))
     _check_against_reference(pairs, _u_gcd, u_gcd_by_prs, _u_div_exact,
                              u_div_exact_by_long_division, _u_mul)
+
+
+def _bipoly_with_lead(rng, dx, lead):
+    # x-degree dx with the Z[q] list lead as its leading x-coefficient
+    t = {(i, j): rng.randint(-3, 3) for i in range(dx)
+         for j in range(rng.randint(1, 3))}
+    t.update({(dx, j): c for j, c in enumerate(lead)})
+    return BiPoly(t)
 
 
 def test_bipoly_gcd_and_division_match_two_copy_reference():
@@ -128,6 +156,23 @@ def test_bipoly_gcd_and_division_match_two_copy_reference():
             c = _random_bipoly(rng)
             a, b = a * c, b * c
         pairs.append((a, b))
+    # independent terms x^i q^j on each side
+    for _ in range(300):
+        a, b = (_random_bipoly(rng) * _random_term(rng) for _ in range(2))
+        if rng.random() < 0.4:
+            c = _random_bipoly(rng)
+            a, b = a * c, b * c
+        pairs.append((a, b))
+    # x-degree 4-6 with a non-unit leading coefficient in Z[q], whose powers
+    # the pseudo-remainders carry, and with leading coefficient -1, a unit
+    for lead in ([1, 1], [2, -1], [0, 0, 3], [-1, 0, 2], [-1]):
+        for _ in range(12):
+            a, b = (_bipoly_with_lead(rng, rng.randint(4, 6), lead)
+                    for _ in range(2))
+            if rng.random() < 0.5:
+                c = _bipoly_with_lead(rng, 1, lead)
+                a, b = a * c, b * c
+            pairs.append((a, b))
     _check_against_reference(pairs, bipoly_gcd, bipoly_gcd_by_profiles,
                              bipoly_div_exact, bipoly_div_exact_by_profiles,
                              lambda a, b: a * b)

@@ -14,8 +14,8 @@ from conftest import (GOLDEN_EQUATION, div_poch_full,
                       solve_equation_over_every_f, x_poch_even, xseries_div,
                       xseries_mul)
 from reglinked import qalgebra
-from reglinked.linked import series_from_system
-from reglinked.murraymiller import QDifferenceEquation
+from reglinked.linked import parse_spec_text, series_from_system
+from reglinked.murraymiller import QDifferenceEquation, derive_equation
 from reglinked.partitions import count_all_class_series
 from reglinked.qalgebra import (BiPoly, Q as q, QSeries, RationalFunction,
                                 X as x)
@@ -126,6 +126,29 @@ def test_solve_residual_is_zero():
     for a in (1, 2, 3):
         F = solve_equation(nandi_equation(a), 12, 25)
         assert equation_residual(nandi_equation(a), F).is_zero()
+
+
+M2_SPEC = """m: 2
+alphabet: [0, 1, 2, 3, 4]
+pi:
+  0: []
+  1: [1]
+  2: [0, 1]
+  3: [1, 1]
+  4: [2]
+forbidden_patterns: "{}"
+"""
+
+
+# two m = 2 specs, with 5 and 9 live states, whose triangularization runs
+# long chains of gcds with large contents over Z[q]
+@pytest.mark.parametrize("patterns", ["434U31U312U034U14",
+                                      "423U323U410U441U421U132"])
+def test_long_gcd_chain_specs_have_zero_residual(patterns):
+    spec = parse_spec_text(M2_SPEC.format(patterns))
+    state, system, _, _, eq = derive_equation(spec, spec.forbidden_prefixes)
+    F = XSeries(series_from_system(system, state, 20, x_value="symbolic"))
+    assert equation_residual(eq, F).is_zero()
 
 
 def test_solve_rejects_inconsistent_leading_coefficient():
