@@ -260,7 +260,6 @@ class QDifferenceSystem:
     step: int
     labels: tuple[int, ...]
     matrix: tuple[tuple[RationalFunction, ...], ...]
-    start: int
     seed: tuple[int, ...]
 
     def __post_init__(self):
@@ -276,9 +275,11 @@ class QDifferenceSystem:
 
 
 def derive_system(spec: LinkedSpec) -> QDifferenceSystem:
-    """The system of the spec's forbidden DFA.  A state's class is empty
-    unless a seeded state is reachable from it; its series is then 0, so
-    its column is dropped like the transitions into accepting states."""
+    """The system of the spec's forbidden DFA, labelled by the non-accepting
+    states in increasing order, so label 0 is the start state.  A state's
+    class is empty unless a seeded state is reachable from it; its series
+    is then 0, so its column is dropped like the transitions into
+    accepting states."""
     dfa = build_forbidden_dfa(spec)
     labels = tuple(v for v in range(dfa.num_states) if v not in dfa.accept)
     col = {v: i for i, v in enumerate(labels)}
@@ -300,12 +301,13 @@ def derive_system(spec: LinkedSpec) -> QDifferenceSystem:
                  if any(not row[u].is_zero() for u in live)}
     rows = tuple(tuple(RationalFunction(e if u in live else BiPoly())
                        for u, e in enumerate(row)) for row in rows)
-    return QDifferenceSystem(spec.m, labels, rows, dfa.start, seed)
+    return QDifferenceSystem(spec.m, labels, rows, seed)
 
 
 def state_for_class(spec: LinkedSpec, extra_prefixes: Regex):
     """The non-accepting state whose restarted language is
-    I* X I*  union  L(extra_prefixes) I*, or None if no state matches.
+    I* X I*  union  L(extra_prefixes) I*; raises SpecError when no state
+    matches.
 
     Each candidate walks in lockstep with the machine of I* X I* and the
     machine of L(extra_prefixes) I*; it matches when no reachable triple
@@ -331,8 +333,10 @@ def state_for_class(spec: LinkedSpec, extra_prefixes: Regex):
             todo += new
         return True
 
-    return next((v for v in range(dfa.num_states) if v not in dfa.accept
-                 and matches((v, pattern.start, extra.start))), None)
+    for v in range(dfa.num_states):
+        if v not in dfa.accept and matches((v, pattern.start, extra.start)):
+            return v
+    raise SpecError("no state matches the target prefix language")
 
 
 # ---------------------------------------------------------------------------

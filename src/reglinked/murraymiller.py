@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linked import QDifferenceSystem, SpecError, derive_system, state_for_class
+from .linked import QDifferenceSystem, derive_system, state_for_class
 from .qalgebra import (
     BiPoly, RationalFunction, bipoly_div_exact, bipoly_gcd,
     bipoly_lcm, parse_rational,
@@ -52,7 +52,7 @@ def reorder(sys: QDifferenceSystem, order) -> QDifferenceSystem:
         raise ValueError("order must be a permutation of the system labels")
     pos = {lab: sys.labels.index(lab) for lab in order}
     rows = tuple(tuple(sys.matrix[pos[r]][pos[c]] for c in order) for r in order)
-    return QDifferenceSystem(sys.step, order, rows, sys.start,
+    return QDifferenceSystem(sys.step, order, rows,
                              tuple(sys.seed[pos[lab]] for lab in order))
 
 
@@ -139,44 +139,35 @@ def eliminate(l_prime: int, p, step: int) -> QDifferenceEquation:
     if not 1 <= l_prime <= len(p):
         raise ValueError(f"l_prime {l_prime} is not in 1..{len(p)}")
     s = l_prime
-    zero = RationalFunction.zero()
-    terms = {(s - 1, 0): RationalFunction(-1)}
-    for j in range(s):
-        c = p[s - 1][j]
+    # comps[j]: shift -> coefficient of component j, seeded from row s-1
+    comps = [{} for _ in range(s)]
+    comps[s - 1][0] = RationalFunction(-1)
+    for j, c in enumerate(p[s - 1][:s]):
         if not c.is_zero():
-            terms[(j, 1)] = terms.get((j, 1), zero) + c
+            comps[j][1] = c
     for comp in range(s - 1, 0, -1):
-        row = comp - 1
-        new = {}
+        row = p[comp - 1]
+        for k, c in comps[comp].items():
+            _add(comps[comp - 1], k - 1, c)
+            for j in range(comp):
+                if not row[j].is_zero():
+                    _add(comps[j], k, -(c * row[j].shift_x(step * (k - 1))))
+    # the lowest shift holds just the -1 that each substitution moved one
+    # shift down, so the equation is nonempty and trimmed
+    eq = comps[0]
+    kmin = min(eq)
+    zero = RationalFunction.zero()
+    return QDifferenceEquation(step, tuple(
+        eq.get(k, zero).shift_x(-step * kmin) for k in range(kmin, max(eq) + 1)))
 
-        def add(key, val):
-            if val.is_zero():
-                return
-            cur = new.get(key)
-            new[key] = val if cur is None else cur + val
 
-        for (j, k), c in terms.items():
-            if j != comp:
-                add((j, k), c)
-                continue
-            add((comp - 1, k - 1), c)
-            for j2 in range(comp):
-                coeff = p[row][j2]
-                if coeff.is_zero():
-                    continue
-                add((j2, k), -(c * coeff.shift_x(step * (k - 1))))
-        terms = {k: v for k, v in new.items() if not v.is_zero()}
-    if any(j != 0 for j, _ in terms):
-        raise TriangularizationError("elimination left more than one component")
-    shifts = sorted(k for (_, k) in terms)
-    kmin = shifts[0]
-    coeffs = []
-    for k in range(kmin, shifts[-1] + 1):
-        c = terms.get((0, k), zero)
-        coeffs.append(c.shift_x(-step * kmin))
-    # terms holds only nonzero values, and its lowest shift holds just the -1
-    # that each substitution moved one shift down: nonempty and trimmed
-    return QDifferenceEquation(step, tuple(coeffs))
+def _add(terms, k, c):
+    """terms[k] += c, dropping the entry when the sum is zero."""
+    total = terms[k] + c if k in terms else c
+    if total.is_zero():
+        terms.pop(k, None)
+    else:
+        terms[k] = total
 
 
 def normalize_equation(eq: QDifferenceEquation) -> QDifferenceEquation:
@@ -205,15 +196,6 @@ def normalize_equation(eq: QDifferenceEquation) -> QDifferenceEquation:
     return QDifferenceEquation(eq.step, coeffs)
 
 
-def target_state(spec, target_regex) -> int:
-    """The state of the spec's forbidden DFA whose class has the target
-    prefix language; raises SpecError when no state matches."""
-    state = state_for_class(spec, target_regex)
-    if state is None:
-        raise SpecError("no state matches the target prefix language")
-    return state
-
-
 def derive_equation(spec, target_regex):
     """The whole derivation for one class: look up the target state, then
     reorder -> triangularize -> eliminate -> normalize.
@@ -221,7 +203,7 @@ def derive_equation(spec, target_regex):
     target_regex is the parsed Regex of the class's forbidden prefixes.
     Returns (state, reordered system, l', P, equation).
     """
-    state = target_state(spec, target_regex)
+    state = state_for_class(spec, target_regex)
     system = reorder_first(derive_system(spec), state)
     l_prime, p = triangularize(system)
     eq = normalize_equation(eliminate(l_prime, p, system.step))

@@ -900,14 +900,6 @@ def _poch_exponents(c, start, step, n, order):
     return exponents if c else ()
 
 
-def pochhammer_inverse(residues, modulus, order):
-    """Coefficients of 1 / prod_i (q^{a_i}; q^modulus)_inf through q^order."""
-    out = QSeries.one(order)
-    for a in residues:
-        out = out.div_poch(-1, a, modulus)
-    return out
-
-
 def rf_x_coefficient_series(rf: RationalFunction, order: int) -> dict:
     """x-coefficients of a rational function whose denominator is x-free,
     each expanded as a QSeries (denominator constant term must be a unit)."""

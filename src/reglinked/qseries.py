@@ -16,7 +16,7 @@ from .automata import parse_regex
 from .murraymiller import QDifferenceEquation
 from .qalgebra import (
     BiPoly, Q, QSeries, RationalFunction, X, _leading_int_zeros,
-    pochhammer_inverse, rf_x_coefficient_series,
+    rf_x_coefficient_series,
 )
 
 
@@ -188,7 +188,7 @@ def _class_target(spec, a):
 @lru_cache(maxsize=None)
 def nandi_class_state(a: int) -> int:
     spec = _linked.nandi_spec()
-    return _mm.target_state(spec, _class_target(spec, a))
+    return _linked.state_for_class(spec, _class_target(spec, a))
 
 
 def class_equation(spec, a: int) -> QDifferenceEquation:
@@ -206,7 +206,10 @@ def nandi_equation(a: int) -> QDifferenceEquation:
 
 def nandi_product(a: int, order: int) -> QSeries:
     """Truncation of the mod-14 infinite product for class a."""
-    return pochhammer_inverse(PRODUCT_RESIDUES[a], 14, order)
+    out = QSeries.one(order)
+    for r in PRODUCT_RESIDUES[a]:
+        out = out.div_poch(-1, r, 14)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +324,18 @@ def h_equation(r_coeffs, s: int, step: int):
 # double sum, classical identities
 # ---------------------------------------------------------------------------
 
+def _terms(first, ratio):
+    """first, then term n = ratio(term n-1, n) for n = 1, 2, ..., up to the
+    first term that is zero through its order.  Each term of the sums here
+    is +-c^n q^e over a product with constant term 1, so it is zero exactly
+    when e is past the order (or c = 0), and every later term is too."""
+    term, n = first, 0
+    while not term.is_zero():
+        yield term
+        n += 1
+        term = ratio(term, n)
+
+
 def double_sum(a: int, order: int) -> QSeries:
     """sum_{i,j>=0} (-1)^j q^(C(i,2) + 2C(j,2) + 2ij + A_a(i,j))
     / ((q;q)_i (q^2;q^2)_j) with A_a(i,j) = (1+s)i + (1+2t)j for the
@@ -328,21 +343,13 @@ def double_sum(a: int, order: int) -> QSeries:
     if a not in CLASS_ST:
         raise ValueError("class index must be 1, 2 or 3")
     s, t = CLASS_ST[a]
-    acc = QSeries.zero(order)
-    # term (i, j) is term (i, j-1) times -q^(2i+2j+2t-1) / (1 - q^(2j)), and
-    # term (i, 0) is term (i-1, 0) times q^(i+s) / (1 - q^i); e is the
-    # lowest exponent of a term
-    row, e_row, i = QSeries.one(order), 0, 0
-    while e_row <= order:
-        term, e, j = row, e_row, 0
-        while e <= order:
-            acc = acc + term
-            j += 1
-            d = 2 * (i + j + t) - 1
-            term, e = -term.shift(d).div_poch(-1, 2 * j, 2, 1), e + d
-        i += 1
-        row, e_row = row.shift(i + s).div_poch(-1, i, 1, 1), e_row + i + s
-    return acc
+    # term (i, 0) is term (i-1, 0) times q^(i+s) / (1 - q^i), and term
+    # (i, j) is term (i, j-1) times -q^(2i+2j+2t-1) / (1 - q^(2j))
+    rows = _terms(QSeries.one(order),
+                  lambda row, i: row.shift(i + s).div_poch(-1, i, 1, 1))
+    return sum((term for i, row in enumerate(rows) for term in _terms(
+        row, lambda u, j: -u.shift(2 * (i + j + t) - 1).div_poch(-1, 2 * j, 2, 1))),
+        QSeries.zero(order))
 
 
 def euler_series(which: str, x_value, order: int):
@@ -351,14 +358,10 @@ def euler_series(which: str, x_value, order: int):
     c, k = x_value
     if c and k < 1:
         raise ValueError("the substituted monomial needs a positive q-power")
-    # term n is term n-1 times c q^d / (1 - q^n), d = k (+ n-1 for B), and
-    # e is its lowest exponent; with c = 0 only term 0 is nonzero
-    lhs, term, n, e = QSeries.zero(order), QSeries.one(order), 0, 0
-    while e <= order and (c or not n):
-        lhs = lhs + term
-        n += 1
-        d = k + (n - 1 if which == "B" else 0)
-        term, e = (term * c).shift(d).div_poch(-1, n, 1, 1), e + d
+    # term n is term n-1 times c q^d / (1 - q^n), d = k (+ n-1 for B)
+    lhs = sum(_terms(QSeries.one(order), lambda u, n: (u * c).shift(
+        k + (n - 1 if which == "B" else 0)).div_poch(-1, n, 1, 1)),
+        QSeries.zero(order))
     if which == "A":
         rhs = QSeries.one(order).div_poch(-c, k, 1, order + 1)
     elif which == "B":
@@ -379,14 +382,9 @@ def _slater_sum(s: int, t: int, order: int) -> QSeries:
     closed-form terms over (-q;q)_s, as (-q;q)_(2n+s) = (-q;q)_s (-q^(1+s);q)_(2n).
     Term n is term n-1 times
     -q^(2n+2t-1) / ((1+q^(s+2n-1)) (1+q^(s+2n)) (1-q^(2n)))."""
-    acc, term, n, e = QSeries.zero(order), QSeries.one(order), 0, 0
-    while e <= order:
-        acc = acc + term
-        n += 1
-        d = 2 * (n + t) - 1
-        term = -(term.shift(d).div_poch(1, s + 2 * n - 1, 1, 2)
-                 .div_poch(-1, 2 * n, 2, 1))
-        e += d
+    acc = sum(_terms(QSeries.one(order), lambda u, n: -(
+        u.shift(2 * (n + t) - 1).div_poch(1, s + 2 * n - 1, 1, 2)
+        .div_poch(-1, 2 * n, 2, 1))), QSeries.zero(order))
     return acc.div_poch(1, 1, 1, s)
 
 
@@ -416,14 +414,9 @@ def remark_single_sum_series(a: int, order: int):
     s, t = CLASS_ST[a]
     # the single sum sum_i q^(C(i,2)+(1+s)i) / ((q;q)_i (q;q^2)_(i+t)): term
     # i is term i-1 times q^(i+s) / ((1 - q^i) (1 - q^(2i+2t-1)))
-    single, term = QSeries.zero(order), QSeries.one(order).div_poch(-1, 1, 2, t)
-    i = e = 0
-    while e <= order:
-        single = single + term
-        i += 1
-        term = (term.shift(i + s).div_poch(-1, i, 1, 1)
-                .div_poch(-1, 2 * (i + t) - 1, 1, 1))
-        e += i + s
+    single = sum(_terms(QSeries.one(order).div_poch(-1, 1, 2, t), lambda u, i: (
+        u.shift(i + s).div_poch(-1, i, 1, 1).div_poch(-1, 2 * (i + t) - 1, 1, 1))),
+        QSeries.zero(order))
     lhs, rhs = double_sum(a, order), single.mul_poch(-1, 1, 2)
     if lhs != rhs:
         return lhs, rhs

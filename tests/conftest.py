@@ -715,7 +715,7 @@ def untrimmed_system(spec):
         rows.append([RationalFunction(e) for e in row])
     seed = tuple(int(spec.trivial_symbol is not None and member(EMPTY, spec, v))
                  for v in labels)
-    return QDifferenceSystem(spec.m, labels, rf_matrix(rows), dfa.start, seed)
+    return QDifferenceSystem(spec.m, labels, rf_matrix(rows), seed)
 
 
 def _system_terms(system):
@@ -872,6 +872,49 @@ def triangularize_by_products(system):
         p = mat_mul(mat_mul(mat_shift_x(t_mat, -system.step), p),
                     mat_inverse_T(t_mat))
     raise AssertionError("loop left without returning")
+
+
+def eliminate_by_flat_terms(l_prime, p, step):
+    """murraymiller.eliminate over one flat (component, shift) table that
+    each substitution round rebuilds: every term of the component being
+    removed goes one shift down into the component below and, through its
+    row of p, into every lower component at the same shift."""
+    from reglinked.murraymiller import QDifferenceEquation
+
+    s = l_prime
+    zero = RationalFunction.zero()
+    terms = {(s - 1, 0): RationalFunction(-1)}
+    for j in range(s):
+        c = p[s - 1][j]
+        if not c.is_zero():
+            terms[(j, 1)] = terms.get((j, 1), zero) + c
+    for comp in range(s - 1, 0, -1):
+        row = comp - 1
+        new = {}
+
+        def add(key, val):
+            if val.is_zero():
+                return
+            cur = new.get(key)
+            new[key] = val if cur is None else cur + val
+
+        for (j, k), c in terms.items():
+            if j != comp:
+                add((j, k), c)
+                continue
+            add((comp - 1, k - 1), c)
+            for j2 in range(comp):
+                coeff = p[row][j2]
+                if coeff.is_zero():
+                    continue
+                add((j2, k), -(c * coeff.shift_x(step * (k - 1))))
+        terms = {k: v for k, v in new.items() if not v.is_zero()}
+    assert all(j == 0 for j, _ in terms), "more than one component left"
+    shifts = sorted(k for (_, k) in terms)
+    kmin = shifts[0]
+    return QDifferenceEquation(step, tuple(
+        terms.get((0, k), zero).shift_x(-step * kmin)
+        for k in range(kmin, shifts[-1] + 1)))
 
 
 def table_filling_minimize(m):
