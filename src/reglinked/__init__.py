@@ -14,7 +14,7 @@ from .partitions import (
     partitions_of, satisfies_nandi, satisfies_nandi_mult, to_multiplicities,
     weight_monomial,
 )
-from .qalgebra import BiPoly, QSeries, Q, RationalFunction, X, parse_rational
+from .qalgebra import BiPoly, QSeries, Q, RationalFunction, X
 from .automata import (
     Dfa, Regex, dfa_from_regex, min_forbidden_prefixes, minimize, parse_regex,
 )

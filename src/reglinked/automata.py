@@ -463,28 +463,3 @@ def dfa_to_text(m: Dfa) -> str:
         lines.append(f"row {v}: " + " ".join(str(t) for t in row))
     return "\n".join(lines) + "\n"
 
-
-def dfa_from_text(text: str) -> Dfa:
-    fields = {}
-    rows = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, _, value = line.partition(":")
-        key = key.strip()
-        value = value.strip()
-        if key.startswith("row "):
-            rows[int(key[4:])] = tuple(int(t) for t in value.split())
-        else:
-            fields[key] = value
-    for key in ("alphabet", "states", "start", "accept"):
-        if key not in fields:
-            raise ValueError(f"missing {key} field")
-    n = int(fields["states"])
-    for v in range(n):
-        if v not in rows:
-            raise ValueError(f"missing row {v}")
-    accept = frozenset(int(t) for t in fields["accept"].split())
-    return Dfa(tuple(fields["alphabet"].split()), [rows[v] for v in range(n)],
-               int(fields["start"]), accept)

@@ -43,12 +43,12 @@ class MissingTrivialSymbolError(ValueError):
 class LinkedSpec:
     """(m, I, pi, X, X') with pi injective into the partitions with parts <= m.
 
-    Derived once, at construction: ``pi_map`` (symbol -> partition), the
-    block table (the parts of each image of pi, smallest first -> its
-    symbol's alphabet index, which is the DFA's column; building it is the
-    injectivity check), ``trivial_symbol`` (the symbol of the empty
-    partition, or None when there is none), ``pattern_spec`` (the spec
-    with X' emptied, itself when X' is empty) and the hash.
+    Derived once, at construction: the block table (the parts of each
+    image of pi, smallest first -> its symbol's alphabet index, which is
+    the DFA's column; building it is the injectivity check),
+    ``trivial_symbol`` (the symbol of the empty partition, or None when
+    there is none), ``pattern_spec`` (the spec with X' emptied, itself
+    when X' is empty) and the hash.
     """
 
     m: int
@@ -80,7 +80,6 @@ class LinkedSpec:
                     raise SpecError(f"{name} uses unknown symbol {s!r}")
             if nullable(r):
                 raise SpecError(f"{name} must not contain the empty word")
-        object.__setattr__(self, "pi_map", dict(self.pi))
         # pi lists the alphabet in order, so the index is the DFA's column
         object.__setattr__(self, "_column_of_block", column_of_block)
         trivial = column_of_block.get(())
@@ -172,16 +171,15 @@ def load_spec(path) -> LinkedSpec:
         return parse_spec_text(fh.read())
 
 
-@lru_cache(maxsize=1)
-def nandi_spec() -> LinkedSpec:
-    """The shipped mod-14 block specification."""
-    text = resources.files("reglinked.data").joinpath("nandi.spec").read_text("utf-8")
-    return parse_spec_text(text)
-
-
 def nandi_spec_path() -> str:
     """The path of the shipped spec file, a template for ``--spec``."""
     return str(resources.files("reglinked.data").joinpath("nandi.spec"))
+
+
+@lru_cache(maxsize=1)
+def nandi_spec() -> LinkedSpec:
+    """The shipped mod-14 block specification."""
+    return load_spec(nandi_spec_path())
 
 
 # ---------------------------------------------------------------------------

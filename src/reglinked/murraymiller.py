@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 from .linked import QDifferenceSystem, derive_system, state_for_class
 from .qalgebra import (
-    BiPoly, RationalFunction, bipoly_div_exact, bipoly_gcd,
-    bipoly_lcm, parse_rational,
+    BiPoly, RationalFunction, bipoly_div_exact, bipoly_gcd, bipoly_lcm,
 )
 
 
@@ -220,24 +219,3 @@ def equation_to_text(eq: QDifferenceEquation) -> str:
         lines.append(f"coeff {i}: {c}")
     return "\n".join(lines) + "\n"
 
-
-def equation_from_text(text: str) -> QDifferenceEquation:
-    step = None
-    coeffs = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, _, value = line.partition(":")
-        key = key.strip()
-        value = value.strip()
-        if key == "step":
-            step = int(value)
-        elif key.startswith("coeff "):
-            coeffs[int(key[6:])] = parse_rational(value)
-    if step is None:
-        raise ValueError("missing step field")
-    for i in range(len(coeffs)):
-        if i not in coeffs:
-            raise ValueError(f"missing coeff {i} field")
-    return QDifferenceEquation(step, tuple(coeffs[i] for i in range(len(coeffs))))

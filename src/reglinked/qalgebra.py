@@ -27,7 +27,6 @@ equality decides equality of functions.
 
 from __future__ import annotations
 
-import ast
 import operator
 from collections import namedtuple
 from fractions import Fraction
@@ -902,84 +901,11 @@ def _poch_exponents(c, start, step, n, order):
 
 def rf_x_coefficient_series(rf: RationalFunction, order: int) -> dict:
     """x-coefficients of a rational function whose denominator is x-free,
-    each expanded as a QSeries (denominator constant term must be a unit)."""
+    each expanded as a QSeries (the denominator's constant term must be
+    nonzero; a non-unit one gives Fraction coefficients)."""
     if rf.den.degree_x():
         raise ValueError("denominator involves x; not expandable per x-degree")
     den = QSeries(rf.den.x_profile()[0], order)
     return {i: QSeries(ql, order) / den
             for i, ql in enumerate(rf.num.x_profile()) if ql}
 
-
-# ---------------------------------------------------------------------------
-# parsing of rendered polynomials / rational functions
-# ---------------------------------------------------------------------------
-
-class ExpressionSyntaxError(ValueError):
-    def __init__(self, message, position):
-        super().__init__(f"{message} at position {position}")
-        self.position = position
-
-
-_EXPR_CHARS = frozenset("0123456789xq+-*/^() \t\n\r\f\v")
-_BLANKS = str.maketrans("\t\n\r\f\v", "     ")  # one line, same length
-_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
-           ast.Mult: operator.mul, ast.Div: operator.truediv}
-
-
-def parse_rational(text: str) -> RationalFunction:
-    """Parse the textual form emitted by this module back into a value.
-
-    Grammar: ASCII decimal integers, x, q, parentheses, unary + and -,
-    binary +, -, *, / and ^ (or **) with a non-negative integer literal as
-    the exponent.  Multiplication must be explicit.  The text is parsed by
-    ``ast`` and the tree is walked, never run.
-    """
-    for i, c in enumerate(text):
-        if c not in _EXPR_CHARS:
-            raise ExpressionSyntaxError(f"unexpected character {c!r}", i)
-    body = text.translate(_BLANKS).lstrip()
-    source = body.replace("^", "**")
-
-    def fail(message, k):
-        # k indexes source, in which each "^" of body is "**"
-        spots = [i for i, c in enumerate(body) for _ in range(1 + (c == "^"))]
-        at = spots[k] if k < len(spots) else len(body)
-        raise ExpressionSyntaxError(message, len(text) - len(body) + at)
-
-    def literal(node):
-        # of the int literals the allowed characters spell, 0x.. is not decimal
-        return (isinstance(node, ast.Constant)
-                and source[node.col_offset:node.end_col_offset].isdigit())
-
-    def walk(node):
-        # a left-nested chain (a + b - c*d) is folded in a loop, not recursed
-        chain = []
-        while isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-            chain.append(node)
-            node = node.left
-        if isinstance(node, ast.Name) and node.id in ("x", "q"):
-            value = RationalFunction(X if node.id == "x" else Q)
-        elif literal(node):
-            value = RationalFunction(node.value)
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            value = -walk(node.operand)
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
-            value = walk(node.operand)
-        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-            if not literal(node.right):
-                fail("exponent must be a non-negative integer",
-                     node.right.col_offset)
-            base, e = walk(node.left), node.right.value
-            value = _reduced(base.num ** e, base.den ** e)
-        else:
-            fail("unsupported expression", node.col_offset)
-        for link in reversed(chain):
-            value = _BINARY[type(link.op)](value, walk(link.right))
-        return value
-
-    try:
-        return walk(ast.parse(source, mode="eval").body)
-    except SyntaxError as e:
-        fail(e.msg, e.offset - 1 if e.offset else len(source))
-    except RecursionError:
-        fail("expression nested too deeply", 0)

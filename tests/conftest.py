@@ -378,9 +378,10 @@ def decode(word, spec):
     from reglinked.linked import SpecError
 
     out = EMPTY
+    pi = dict(spec.pi)
     for k, sym in enumerate(word):
         try:
-            p = spec.pi_map[sym]
+            p = pi[sym]
         except KeyError:
             raise SpecError(f"unknown symbol {sym!r}") from None
         out = oplus(out, phi_plus(p, spec.m * k))

@@ -13,9 +13,8 @@ from reglinked import murraymiller, qalgebra
 from reglinked.linked import (QDifferenceSystem, derive_system, load_spec,
                               parse_spec_text, series_from_system)
 from reglinked.murraymiller import (
-    QDifferenceEquation, derive_equation, eliminate, equation_from_text,
-    equation_to_text, normalize_equation, reorder, reorder_first,
-    triangularize,
+    QDifferenceEquation, derive_equation, eliminate, equation_to_text,
+    normalize_equation, reorder, reorder_first, triangularize,
 )
 from reglinked.qalgebra import Q as q, RationalFunction, X as x
 from reglinked.qseries import equation_residual
@@ -319,9 +318,9 @@ def test_empty_class_spec_derives_f_equals_zero_at_once():
 
 
 def test_equation_text_round_trip():
+    # the step, then one line per coefficient, each in its own rendering
     eq = golden_equation(3)
-    assert equation_from_text(equation_to_text(eq)) == eq
-    for text, missing in (("coeff 0: 1\n", "step"),
-                          ("step: 2\ncoeff 0: 1\ncoeff 2: x\n", "coeff 1")):
-        with pytest.raises(ValueError, match=f"^missing {missing} field$"):
-            equation_from_text(text)
+    assert equation_to_text(eq).splitlines() == [f"step: {eq.step}", *(
+        f"coeff {i}: {c}" for i, c in enumerate(eq.coeffs))]
+    assert equation_to_text(QDifferenceEquation(2, (RationalFunction(1),))) \
+        == "step: 2\ncoeff 0: 1\n"

@@ -39,9 +39,10 @@ def test_no_dead_private_helpers():
 
 def test_no_dead_public_functions():
     """Every public module-level function or class is named in a library
-    module besides its own definition, in the benchmark's scripts or in the
-    README.  The package's re-exports in __init__.py are not a use: a name
-    that only the tests call belongs with them in tests/conftest.py."""
+    module besides its own definition or in the benchmark's scripts.  The
+    package's re-exports in __init__.py and mentions in the README are not
+    a use: a name that only the tests call belongs with them in
+    tests/conftest.py."""
     defined = []
     named = set()
     for path in sorted(SRC.glob("*.py")):
@@ -58,8 +59,8 @@ def test_no_dead_public_functions():
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name)
-    docs = [ROOT / "README.md", *sorted((ROOT / "perfbench").glob("*.py"))]
-    named.update(*(re.findall(r"\w+", p.read_text(encoding="utf-8")) for p in docs))
+    named.update(*(re.findall(r"\w+", p.read_text(encoding="utf-8"))
+                   for p in sorted((ROOT / "perfbench").glob("*.py"))))
     dead = [f"{mod}:{name}" for mod, name in defined if name not in named]
     assert dead == []
 
@@ -100,7 +101,8 @@ def test_unreduced_rational_functions_are_built_only_in_qalgebra():
 
 def test_no_code_is_run_from_text():
     """No module calls eval, exec or compile, or reaches them through
-    builtins: parse_rational reads the ast of its text and never runs it."""
+    builtins: the library reads specs, regexes and labels, and never runs
+    text as code."""
     runners = {"eval", "exec", "compile"}
     found = []
     for path in sorted(SRC.glob("*.py")):
